@@ -1,6 +1,7 @@
 """From a trained model to cluster labels: full coefficient matrix, affinity
-|C| + |C^T|, symmetric normalized Laplacian, smallest eigenvectors, and
-k-means on the row-normalized spectral embedding.
+|C| + |C^T|, symmetric normalized Laplacian, its k smallest eigenvectors by
+seeded Lanczos iteration (ARPACK's `eigsh`; a dense `eigh` only for k = n),
+and k-means on the row-normalized spectral embedding.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import NumericsError, ShapeError
 from .numkit import make_rng, normalize_rows
@@ -94,32 +96,36 @@ def normalized_laplacian(a: np.ndarray, variant: str = "symmetric") -> np.ndarra
 
 
 def smallest_eigenvectors(lap: np.ndarray, k: int, tol: float = 1e-8):
-    """The k smallest eigenpairs of a symmetric matrix.
+    """The k smallest eigenpairs of an exactly symmetric matrix.
 
-    Returns (values ascending, vectors (n, k)). Columns are orthonormal
-    within tol and sign-fixed (largest-magnitude entry positive) so the
-    output is a deterministic function of the input.
+    Returns (values ascending, vectors (n, k)). ARPACK's Lanczos solver
+    (`eigsh`, which="SA", tol=0) finds them, starting and restarting from
+    the fixed stream make_rng(0, "eigsh"); a dense `eigh` runs only for
+    k = n, where ARPACK cannot. Columns are orthonormal within tol and
+    sign-fixed (largest-magnitude entry positive) so the output is a
+    deterministic function of the input.
     """
     lap = np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ShapeError(f"matrix must be square, got {lap.shape}")
-    if k < 1 or k > lap.shape[0]:
-        raise ShapeError(f"k={k} out of range for n={lap.shape[0]}")
-    sym = 0.5 * (lap + lap.T)
+    n = lap.shape[0]
+    if k < 1 or k > n:
+        raise ShapeError(f"k={k} out of range for n={n}")
+    if not np.array_equal(lap, lap.T):
+        raise NumericsError("matrix is not symmetric")
+    rng = make_rng(0, "eigsh")
     try:
-        vals, vecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
+        vals, vecs = np.linalg.eigh(lap) if k == n else eigsh(
+            lap, k, which="SA", tol=0, v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+    except (np.linalg.LinAlgError, ArpackError) as exc:
         raise NumericsError(f"eigendecomposition failed: {exc}") from exc
-    vals = vals[:k]
-    vecs = vecs[:, :k]
-    for j in range(k):
-        col = vecs[:, j]
-        lead = np.argmax(np.abs(col))
-        if col[lead] < 0:
-            vecs[:, j] = -col
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]
+    vecs = vecs * np.where(lead < 0, -1.0, 1.0)
     gram_err = np.abs(vecs.T @ vecs - np.eye(k)).max()
-    resid = np.abs(sym @ vecs - vecs * vals).max()
-    if gram_err > tol or resid > max(tol, 1e-6 * max(1.0, np.abs(sym).max())):
+    resid = np.abs(lap @ vecs - vecs * vals).max()
+    if gram_err > tol or resid > max(tol, 1e-6 * max(1.0, np.abs(lap).max())):
         raise NumericsError(
             f"eigenvector residuals too large (orthonormality {gram_err:.2e}, "
             f"residual {resid:.2e})")
@@ -199,11 +205,6 @@ def spectral_cluster(a: np.ndarray, cfg: SpectralConfig) -> ClusterLabels:
     _, vecs = smallest_eigenvectors(lap, cfg.k, cfg.eig_tol)
     return kmeans(vecs, cfg.k, restarts=cfg.kmeans_restarts,
                   max_iter=cfg.kmeans_max_iter, seed=cfg.seed)
-
-
-def cluster_model(model: SEModel, x: np.ndarray, cfg: SpectralConfig) -> ClusterLabels:
-    """Convenience: affinity from the model, then spectral clustering."""
-    return spectral_cluster(build_affinity(model, x), cfg)
 
 
 def export_affinity_csv(a: np.ndarray, path: str) -> None:

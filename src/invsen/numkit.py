@@ -84,9 +84,16 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Scale each row to unit L2 norm; all-zero rows are left untouched."""
+    """Scale each row to unit L2 norm; all-zero rows are left untouched.
+    A finite row whose norm overflows is divided by its largest absolute
+    entry first."""
     x = np.asarray(x, dtype=float)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+    over = np.isinf(norms[:, 0]) & np.isfinite(x).all(axis=1)
+    if over.any():
+        x = x / np.where(over[:, None], np.abs(x).max(axis=1, keepdims=True), 1.0)
+        norms[over] = np.linalg.norm(x[over], axis=1, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
     return x / safe
 
@@ -315,17 +322,6 @@ def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray):
         grads[idx] = g
         grad = grad @ lay.w.T
     return grads, grad
-
-
-def zero_grads_like(params: MlpParams):
-    grads = []
-    for lay in params.layers:
-        g = {"w": np.zeros_like(lay.w), "b": np.zeros_like(lay.b)}
-        if lay.batchnorm is not None:
-            g["scale"] = np.zeros_like(lay.batchnorm.scale)
-            g["shift"] = np.zeros_like(lay.batchnorm.shift)
-        grads.append(g)
-    return grads
 
 
 # ---------------------------------------------------------------------------

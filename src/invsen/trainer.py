@@ -418,7 +418,7 @@ def _build_net(spec: dict):
 
 
 def load_checkpoint(path: str) -> TrainState:
-    """Restore a TrainState saved by save_checkpoint."""
+    """Restore a TrainState saved by save_checkpoint; CheckpointError if malformed."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != CHECKPOINT_MAGIC:
@@ -426,18 +426,22 @@ def load_checkpoint(path: str) -> TrainState:
     try:
         blob_len = int.from_bytes(raw[8:16], "little")
         manifest = json.loads(raw[16:16 + blob_len].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt manifest ({exc})") from exc
+        return _restore_state(manifest, raw, 16 + blob_len, path)
+    except CheckpointError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: corrupt manifest ({exc!r})") from exc
+
+
+def _restore_state(manifest: dict, raw: bytes, offset: int, path: str) -> TrainState:
     if manifest.get("version") != 1:
         raise CheckpointError(f"{path}: unsupported version {manifest.get('version')!r}")
-
     cfg_dict = dict(manifest["config"])
     cfg_dict["weights"] = LossWeights(**cfg_dict["weights"])
     cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
     cfg_dict["bias_hidden"] = tuple(cfg_dict["bias_hidden"])
     config = TrainConfig(**cfg_dict)
 
-    offset = 16 + blob_len
     arrays = {}
     for entry in manifest["arrays"]:
         shape = tuple(entry["shape"])
@@ -445,8 +449,7 @@ def load_checkpoint(path: str) -> TrainState:
         end = offset + 8 * count
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated array payload")
-        arr = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
-        arrays[entry["name"]] = arr
+        arrays[entry["name"]] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
         offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after array payload")

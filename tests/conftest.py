@@ -1,4 +1,10 @@
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
+
+# `python -m invsen` child processes import the package from this checkout too
+SRC = os.path.join(os.path.dirname(HERE), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)

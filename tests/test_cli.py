@@ -141,6 +141,19 @@ class TestTrain:
         assert code == 2
 
 
+def _drop_config(manifest):
+    del manifest["config"]
+
+
+def _unknown_config_key(manifest):
+    manifest["config"]["no_such_option"] = 1
+
+
+def _misnamed_array(manifest):
+    entry = next(e for e in manifest["arrays"] if e["name"] == "model.key_net.0.w")
+    entry["name"] = "model.key_net.0.weights"
+
+
 class TestEvaluate:
     def test_metrics_written(self, tmp_path, data_dir, trained_dir):
         out = tmp_path / "eval"
@@ -179,6 +192,24 @@ class TestEvaluate:
             data.pop("meta")  # timestamps live only in meta
             payloads.append(json.dumps(data, sort_keys=True))
         assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("corrupt", [_drop_config, _unknown_config_key, _misnamed_array])
+    def test_malformed_checkpoint_manifest_exits_1(self, tmp_path, data_dir,
+                                                    trained_dir, capsys, corrupt):
+        raw = (trained_dir / "checkpoint.invsen").read_bytes()
+        blob_len = int.from_bytes(raw[8:16], "little")
+        manifest = json.loads(raw[16:16 + blob_len])
+        corrupt(manifest)
+        blob = json.dumps(manifest).encode("utf-8")
+        path = tmp_path / "corrupt.invsen"
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                         + raw[16 + blob_len:])
+        capsys.readouterr()
+        code = run_cli("evaluate", "--checkpoint", str(path),
+                       "--data", str(data_dir / "test.csv"),
+                       "--k", "2", "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestReport:

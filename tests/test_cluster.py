@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from invsen import cluster, datagen, trainer
 from invsen.cluster import (
-    ClusterLabels,
     SpectralConfig,
     affinity_from_coefficients,
     build_affinity,
-    cluster_model,
     export_affinity_csv,
     kmeans,
     normalized_laplacian,
     smallest_eigenvectors,
     spectral_cluster,
 )
+from invsen.debias import LossWeights
 from invsen.errors import NumericsError, ShapeError
 from invsen.evalmetrics import accuracy
 from invsen.numkit import make_rng, normalize_rows
@@ -41,6 +42,20 @@ def block_affinity(sizes, rng, lo=0.5, hi=1.0, permute=True):
         labels = labels[perm]
     a = 0.5 * (a + a.T)
     return a, labels
+
+
+def assert_null_space_spans_indicators(sizes, rng, permute=True):
+    """The smallest eigenvalues of an exactly block-diagonal affinity's
+    Laplacian are zero, one per block, and their eigenvectors span the
+    degree-scaled block indicators."""
+    a, labels = block_affinity(sizes, rng, permute=permute)
+    vals, vecs = smallest_eigenvectors(normalized_laplacian(a), len(sizes))
+    assert np.abs(vals).max() < 1e-10
+    deg = np.sqrt(a.sum(axis=1))
+    for c in range(len(sizes)):
+        w = np.where(labels == c, deg, 0.0)
+        w /= np.linalg.norm(w)
+        assert np.linalg.norm(vecs @ (vecs.T @ w) - w) < 1e-8
 
 
 class TestAffinity:
@@ -109,17 +124,7 @@ class TestSmallestEigenvectors:
         assert np.allclose(np.abs(vecs[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_disconnected_graph_indicator_span(self):
-        a, labels = block_affinity([5, 4], make_rng(4, "blk"), permute=False)
-        lap = normalized_laplacian(a)
-        vals, vecs = smallest_eigenvectors(lap, 2)
-        assert np.abs(vals).max() < 1e-10
-        # the null space is spanned by degree-scaled block indicators
-        deg = np.sqrt(a.sum(axis=1))
-        for c in (0, 1):
-            w = np.where(labels == c, deg, 0.0)
-            w /= np.linalg.norm(w)
-            proj = vecs @ (vecs.T @ w)
-            assert np.linalg.norm(proj - w) < 1e-8
+        assert_null_space_spans_indicators([5, 4], make_rng(4, "blk"), permute=False)
 
     def test_matches_jacobi_oracle(self):
         m = make_rng(5, "sym").standard_normal((8, 8))
@@ -134,6 +139,86 @@ class TestSmallestEigenvectors:
     def test_k_out_of_range(self):
         with pytest.raises(ShapeError):
             smallest_eigenvectors(np.eye(3), 4)
+
+
+def dense_smallest(lap, k):
+    """Oracle: all eigenpairs by dense eigh, the first k sign-fixed."""
+    vals, vecs = np.linalg.eigh(lap)
+    vecs = vecs[:, :k].copy()
+    for j in range(k):
+        if vecs[np.argmax(np.abs(vecs[:, j])), j] < 0:
+            vecs[:, j] = -vecs[:, j]
+    return vals[:k], vecs
+
+
+@pytest.fixture(scope="module")
+def trained_affinity():
+    """Affinity of a short fit over 600 samples on three subspaces."""
+    geo = datagen.DataGenConfig(n_per_cluster=200, k_subspaces=3, ambient_dim=30,
+                                subspace_rank=4, noise_sigma=0.01,
+                                bias_flip_e=0.5, seed=0)
+    ds = datagen.generate(geo, "train")
+    state = trainer.fit(trainer.TrainConfig(epochs=20, batch_size=128, seed=0,
+                                            weights=LossWeights(gamma=50.0, delta=0.9)), ds)
+    return build_affinity(state.model, ds.X), ds.s
+
+
+class TestLanczosSolver:
+    def test_matches_dense_on_trained_affinity(self, trained_affinity):
+        a, truth = trained_affinity
+        lap = normalized_laplacian(a)
+        vals, vecs = smallest_eigenvectors(lap, 3)
+        ref_vals, ref_vecs = dense_smallest(lap, 3)
+        assert np.abs(vals - ref_vals).max() < 1e-8
+        assert np.abs(vecs - ref_vecs).max() < 1e-8
+        cfg = SpectralConfig(k=3, seed=4)
+        labels = spectral_cluster(a, cfg).labels
+        assert np.array_equal(labels, kmeans(ref_vecs, 3, seed=4).labels)
+        assert accuracy(labels, truth) == 1.0
+
+    def test_large_null_space_indicator_span(self):
+        assert_null_space_spans_indicators([200, 200, 200], make_rng(17, "blk"))
+
+    def test_deterministic(self, trained_affinity):
+        lap = normalized_laplacian(trained_affinity[0])
+        first = smallest_eigenvectors(lap, 3)
+        smallest_eigenvectors(normalized_laplacian(block_affinity(
+            [20, 20], make_rng(18, "blk"))[0]), 2)
+        second = smallest_eigenvectors(lap, 3)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
+
+    def test_dense_path_only_for_k_equal_n(self, monkeypatch):
+        a, _ = block_affinity([5, 4], make_rng(19, "blk"))
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense eigh called for k < n")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_dense)
+        vals, _ = smallest_eigenvectors(normalized_laplacian(a), 2)
+        assert np.abs(vals).max() < 1e-10
+
+    def test_unnormalized_variant_recovers_blocks(self):
+        a, labels = block_affinity([40, 30, 50], make_rng(20, "blk"))
+        out = spectral_cluster(a, SpectralConfig(k=3, seed=0, laplacian="unnormalized"))
+        assert accuracy(out.labels, labels) == 1.0
+
+    def test_asymmetric_matrix_rejected(self):
+        # off by far less than the residual check would notice
+        lap = normalized_laplacian(block_affinity([15, 15], make_rng(21, "blk"))[0])
+        lap[0, 1] += 1e-13
+        with pytest.raises(NumericsError, match="not symmetric"):
+            smallest_eigenvectors(lap, 2)
+
+    def test_no_convergence_is_numerics_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                      np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(cluster, "eigsh", stalled)
+        a, _ = block_affinity([10, 10], make_rng(22, "blk"))
+        with pytest.raises(NumericsError, match="eigendecomposition failed"):
+            smallest_eigenvectors(normalized_laplacian(a), 2)
 
 
 class TestKmeans:
@@ -203,15 +288,6 @@ class TestSpectralCluster:
         perm = make_rng(13, "p").permutation(15)
         permuted = spectral_cluster(a[np.ix_(perm, perm)], cfg).labels
         assert accuracy(permuted, base[perm]) == 1.0
-
-    def test_cluster_model_pipeline(self):
-        model = init_se_model(4, hidden=(6,), embed_dim=4, rng=make_rng(14, "m"))
-        model.beta_raw = np.array(-5.0)
-        x = make_rng(15, "x").standard_normal((10, 4))
-        out = cluster_model(model, x, SpectralConfig(k=2, seed=0))
-        assert isinstance(out, ClusterLabels)
-        assert out.labels.shape == (10,)
-        assert set(out.labels.tolist()) <= {0, 1}
 
 
 class TestExport:

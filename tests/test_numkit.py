@@ -14,6 +14,7 @@ from invsen.numkit import (
     mlp_forward,
     mlp_grad_arrays,
     mlp_param_arrays,
+    normalize_rows,
     set_param_arrays,
 )
 
@@ -60,6 +61,26 @@ class TestRng:
         # frozen: cross-platform stability contract of the hash derivation
         assert numkit.derive_seed(0, "init") == numkit.derive_seed(0, "init")
         assert numkit.derive_seed(0, "init") != numkit.derive_seed(1, "init")
+
+
+class TestNormalizeRows:
+    def test_overflowing_norm_still_unit(self):
+        x = np.array([[1e300, 1e300, 0.0], [3.0, 4.0, 0.0], [-1e308, 0.0, 2e307]])
+        out = normalize_rows(x)
+        assert np.allclose(out[0], [2 ** -0.5, 2 ** -0.5, 0.0], rtol=1e-15)
+        assert np.allclose(out[2], np.array([-1.0, 0.0, 0.2]) / np.sqrt(1.04),
+                           rtol=1e-15)
+        assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=1e-15)
+
+    def test_finite_norm_rows_unchanged(self):
+        x = make_rng(3, "rows").standard_normal((6, 5)) * 1e3
+        x[2] = 0.0
+        big = np.vstack([x, [[1e300, -1e300, 0.0, 0.0, 5.0]]])
+        expected = x / np.where(np.linalg.norm(x, axis=1, keepdims=True) > 0.0,
+                                np.linalg.norm(x, axis=1, keepdims=True), 1.0)
+        assert np.array_equal(normalize_rows(x), expected)
+        assert np.array_equal(normalize_rows(big)[:6], expected)
+        assert np.array_equal(normalize_rows(x)[2], np.zeros(5))
 
 
 class TestMlpForward:
