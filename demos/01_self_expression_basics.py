@@ -8,7 +8,7 @@ enough to read by eye.
 
 import numpy as np
 
-from invsen.numkit import make_rng, normalize_rows
+from invsen.numkit import make_rng, mlp_backward, normalize_rows
 from invsen.sennet import (
     coefficient_matrix,
     elastic_net_reg,
@@ -47,8 +47,10 @@ res = se_loss(model, x, gamma=50.0, delta=0.9)
 print(f"se loss {res.loss:.3f} = reconstruction {res.recon:.3f} "
       f"+ regularizer {res.reg:.3f}")
 
-# The loss comes with exact gradients for every parameter group; this is
-# what the trainer feeds to Adam.
-print("gradient layer count (key net):", len(res.grad_key))
+# The loss comes with exact gradients at both embeddings and for beta and
+# alpha; backpropagating the embedding gradients through the nets gives the
+# rest of what the trainer feeds to Adam.
+grad_key, _ = mlp_backward(model.key_net, res.key_cache, res.grad_key_out)
+print("gradient layer count (key net):", len(grad_key))
 print("beta gradient:", round(res.grad_beta_raw, 6),
       " alpha gradient:", round(res.grad_alpha, 6))

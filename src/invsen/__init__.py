@@ -9,7 +9,7 @@ synthetic biased-data generator, clustering metrics, and a CLI.
 from . import cluster, datagen, debias, evalmetrics, numkit, sennet, trainer
 from .cluster import ClusterLabels, SpectralConfig, build_affinity, spectral_cluster
 from .datagen import DataGenConfig, Dataset, generate, load_dataset, make_mixed_domain, make_ood_split, save_dataset
-from .debias import BiasHeads, LossWeights, combined_losses, init_bias_heads
+from .debias import BiasHeads, LossWeights, init_bias_heads
 from .errors import (
     CheckpointError,
     ConfigError,

@@ -44,17 +44,20 @@ class SpectralConfig:
 
 
 def affinity_from_coefficients(c: np.ndarray) -> np.ndarray:
-    """A = |C| + |C^T| for a zero-diagonal coefficient matrix."""
+    """A = |C| + |C^T| for a square, zero-diagonal coefficient matrix; A is
+    symmetric and non-negative by construction."""
     c = np.asarray(c, dtype=float)
-    a = np.abs(c) + np.abs(c.T)
-    _check_affinity(a)
-    return a
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ShapeError(f"coefficient matrix must be square, got {c.shape}")
+    if np.any(np.diag(c) != 0):
+        raise NumericsError("coefficient matrix has a nonzero diagonal")
+    return np.abs(c) + np.abs(c.T)
 
 
 def build_affinity(model: SEModel, x: np.ndarray) -> np.ndarray:
     """Affinity A = |C| + |C^T| from eval-mode coefficients over the whole
-    (unit-normalized) sample set. Symmetric, non-negative, zero diagonal by
-    construction; all three are asserted before returning."""
+    (unit-normalized) sample set. Symmetric, non-negative and zero-diagonal
+    by construction."""
     x = normalize_rows(np.asarray(x, dtype=float))
     if x.shape[0] < 2:
         raise ShapeError("build_affinity needs at least two samples")

@@ -219,13 +219,18 @@ def load_dataset(path: str) -> Dataset:
     """Read a dataset file; malformed headers, ragged rows, or count
     mismatches raise DataFormatError with the offending line number."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        m = _HEADER_RE.match(header)
+        header = fh.readline()
+        m = _HEADER_RE.match(header.rstrip("\n"))
         if m is None:
             raise DataFormatError("bad or missing invsen-dataset header",
                                   path=path, line=1)
         n, d, has_s, has_b = (int(g) for g in m.groups())
         width = d + has_s + has_b
+        # each field takes at least one character and a comma or newline
+        if 2 * n * width - 1 > os.fstat(fh.fileno()).st_size - len(header.encode("utf-8")):
+            raise DataFormatError(
+                f"header says n={n} rows of {width} fields, more than the file holds",
+                path=path, line=1)
         x = np.empty((n, d), dtype=float)
         s = np.empty(n, dtype=int) if has_s else None
         b = np.empty(n, dtype=int) if has_b else None

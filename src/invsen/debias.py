@@ -1,7 +1,7 @@
 """Bias mitigation: classifier heads over the key and query embeddings,
 their cross-entropy and entropy-confusion losses, the bias-group estimates
-behind the aligned reconstruction and the counterfactual batch, the
-invariance loss, and the combined training objective.
+behind the aligned reconstruction and the counterfactual batch, and the
+invariance loss.
 
 The two heads model the posterior of the bias label given each embedding.
 During training the heads themselves are fit with plain cross-entropy on
@@ -32,7 +32,7 @@ routing itself lives in the trainer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -254,65 +254,6 @@ def head_accuracy(probs: np.ndarray, labels) -> float:
     probs = np.asarray(probs, dtype=float)
     labels = _check_labels(probs, labels)
     return float((probs.argmax(axis=1) == labels).mean())
-
-
-@dataclass
-class CombinedLosses:
-    """Every scalar term of one forward pass, plus the logging total.
-
-    total_report = l_se + lam*(l_conf_key + l_conf_query + l_align + l_inv)
-                        + mu*(l_ce_key + l_ce_query)
-    and is used for reporting and the divergence guard only; gradient
-    routing (which term reaches which parameters, and with which sign) is
-    the trainer's job.
-    """
-
-    l_se: float
-    l_ce_key: float
-    l_ce_query: float
-    l_conf_key: float
-    l_conf_query: float
-    l_align: float
-    l_inv: float
-    total_report: float
-    acc_key: float = field(default=float("nan"))
-    acc_query: float = field(default=float("nan"))
-
-
-def combined_losses(model, heads: BiasHeads, batch: np.ndarray, bias_labels,
-                    weights: LossWeights, mode: str = "train") -> CombinedLosses:
-    """Evaluate all loss terms on one batch (no gradients).
-
-    With lam = mu = 0 the total reduces exactly to the self-expression
-    loss. Mutates batchnorm running statistics when mode="train", like any
-    other forward pass.
-    """
-    from .sennet import se_loss  # local import to avoid a module cycle
-
-    bias_labels = np.asarray(bias_labels)
-    if bias_labels.shape[0] != np.asarray(batch).shape[0]:
-        raise ShapeError("batch and bias labels are misaligned")
-    shift = bias_group_shift(batch, bias_labels, heads.n_bias_classes)
-    se = se_loss(model, batch, weights.gamma, weights.delta, mode=mode,
-                 backward=False, shift=shift, shift_weight=weights.lam)
-    p_key, _ = bias_posterior(heads.g, se.key_out, mode)
-    p_query, _ = bias_posterior(heads.g_prime, se.query_out, mode)
-    l_ce_key = cross_entropy_loss(p_key, bias_labels)
-    l_ce_query = cross_entropy_loss(p_query, bias_labels)
-    l_conf_key = entropy_confusion_loss(p_key)
-    l_conf_query = entropy_confusion_loss(p_query)
-    l_inv, _, _ = counterfactual_invariance(
-        model, batch, bias_labels, se.key_out, se.query_out,
-        heads.n_bias_classes, mode)
-    total = (se.loss
-             + weights.lam * (l_conf_key + l_conf_query + se.l_align + l_inv)
-             + weights.mu * (l_ce_key + l_ce_query))
-    return CombinedLosses(
-        l_se=se.loss, l_ce_key=l_ce_key, l_ce_query=l_ce_query,
-        l_conf_key=l_conf_key, l_conf_query=l_conf_query,
-        l_align=se.l_align, l_inv=l_inv, total_report=total,
-        acc_key=head_accuracy(p_key, bias_labels),
-        acc_query=head_accuracy(p_query, bias_labels))
 
 
 def head_parameter_arrays(heads: BiasHeads) -> list[np.ndarray]:

@@ -44,17 +44,6 @@ def make_rng(seed: int, *names) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def rng_state(rng: np.random.Generator) -> dict:
-    """JSON-serializable snapshot of a PCG64 generator's position."""
-    return rng.bit_generator.state
-
-
-def restore_rng(state: dict) -> np.random.Generator:
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = state
-    return rng
-
-
 # ---------------------------------------------------------------------------
 # Small numerics helpers
 # ---------------------------------------------------------------------------
@@ -85,15 +74,17 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
     """Scale each row to unit L2 norm; all-zero rows are left untouched.
-    A finite row whose norm overflows is divided by its largest absolute
-    entry first."""
+    A finite non-zero row whose squared norm overflows or falls below the
+    smallest normal float is divided by its largest absolute entry first."""
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(x, axis=1, keepdims=True)
-    over = np.isinf(norms[:, 0]) & np.isfinite(x).all(axis=1)
-    if over.any():
-        x = x / np.where(over[:, None], np.abs(x).max(axis=1, keepdims=True), 1.0)
-        norms[over] = np.linalg.norm(x[over], axis=1, keepdims=True)
+    # 2**-511 is the square root of the smallest normal float64
+    rescale = (((norms[:, 0] < 2.0 ** -511) & (x != 0.0).any(axis=1))
+               | np.isinf(norms[:, 0])) & np.isfinite(x).all(axis=1)
+    if rescale.any():
+        x = x / np.where(rescale[:, None], np.abs(x).max(axis=1, keepdims=True), 1.0)
+        norms[rescale] = np.linalg.norm(x[rescale], axis=1, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
     return x / safe
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import numkit
 from .errors import ShapeError
-from .numkit import MlpParams, mlp_backward, mlp_forward, sigmoid, softplus, softplus_inv
+from .numkit import MlpParams, mlp_forward, sigmoid, softplus, softplus_inv
 
 # With tanh embeddings and the uniform init, off-diagonal inner products
 # start around |u.v| ~ 0.01-0.08; the threshold must begin below that
@@ -173,14 +173,12 @@ def coefficient_matrix(model: SEModel, x: np.ndarray, mode: str = "eval") -> np.
 class SELossResult:
     """Loss value plus every gradient the trainer needs.
 
-    grad_key_out / grad_query_out are the gradients at the embedding level
-    (before backprop through the nets); the trainer adds the adversarial
-    contributions there, then reuses key_cache / query_cache for a single
-    combined backward pass. grad_key / grad_query are the pure
-    self-expression parameter gradients (per-layer dicts), or None when
-    se_loss was asked not to backpropagate. l_align is the aligned
-    reconstruction term's value (0.0 without a shift); every gradient
-    includes shift_weight times its gradient.
+    grad_key_out / grad_query_out are the gradients at the embedding level;
+    the nets' parameter gradients are mlp_backward(net, cache, grad_*_out)
+    with key_cache / query_cache, which lets the trainer add its own terms
+    at the embeddings first and run one backward pass per net. l_align is
+    the aligned reconstruction term's value (0.0 without a shift); every
+    gradient includes shift_weight times its gradient.
     """
 
     loss: float
@@ -188,8 +186,6 @@ class SELossResult:
     reg: float
     l_align: float
     coeffs: np.ndarray
-    grad_key: list | None
-    grad_query: list | None
     grad_beta_raw: float
     grad_alpha: float
     grad_key_out: np.ndarray
@@ -201,18 +197,16 @@ class SELossResult:
 
 
 def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
-            mode: str = "train", backward: bool = True, shift=None,
-            shift_weight: float = 0.0) -> SELossResult:
+            mode: str = "train", shift=None, shift_weight: float = 0.0) -> SELossResult:
     """Self-expression loss over one batch and its exact gradients.
 
     loss = (gamma / 2n) * sum_j ||x_j - sum_{i != j} C[i, j] x_i||^2
          + (1 / n) * sum_{i != j} r(C[i, j])
 
     Within a batch every sample is reconstructed from the other n-1
-    samples. Gradients are returned for both networks, for the softplus
-    pre-image of beta, and for alpha (whether or not alpha is trainable).
-    backward=False stops at the gradients w.r.t. the embeddings, for a
-    caller that adds its own terms there before backpropagating.
+    samples. Gradients are returned w.r.t. both embeddings (the caller
+    backpropagates them through the nets), for the softplus pre-image of
+    beta, and for alpha (whether or not alpha is trainable).
 
     shift, an (n, d) array, adds shift_weight * l_align to what the
     gradients differentiate, with
@@ -276,14 +270,8 @@ def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
     else:
         g_query_out, g_key_out = g_contrib, g_target
 
-    grad_key = grad_query = None
-    if backward:
-        grad_key, _ = mlp_backward(model.key_net, cache["key_cache"], g_key_out)
-        grad_query, _ = mlp_backward(model.query_net, cache["query_cache"], g_query_out)
-
     return SELossResult(
         loss=loss, recon=recon, reg=reg, l_align=l_align, coeffs=block,
-        grad_key=grad_key, grad_query=grad_query,
         grad_beta_raw=g_beta_raw, grad_alpha=g_alpha,
         grad_key_out=g_key_out, grad_query_out=g_query_out,
         key_out=cache["key_out"], query_out=cache["query_out"],

@@ -2,7 +2,9 @@
 reversal routing, deterministic minibatching, and versioned checkpoints.
 
 Every step runs one forward pass of the batch (with lam > 0, also one of
-its bias-swapped counterfactual) and routes gradients from the caches:
+its bias-swapped counterfactual), sums every term's gradient at the
+embeddings, and backpropagates that sum once through each net (with
+lam > 0, also the counterfactual's invariance gradient). The terms:
 
 * the heads minimize cross-entropy on the bias labels (their gradients
   never reach the feature nets);
@@ -24,6 +26,10 @@ its bias-swapped counterfactual) and routes gradients from the caches:
 Heads are updated first, then the feature nets, both from the same forward
 passes. With lam = 0 the feature updates are bit-for-bit those of a plain
 self-expressive network; the heads keep training on the side.
+
+A checkpoint stores the config and the input width, from which
+init_state rebuilds the state, and the arrays in _state_arrays order,
+which is the only place their layout is written.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .debias import (
     init_bias_heads,
     invariance_grads,
 )
-from .errors import CheckpointError, ConfigError, ShapeError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, NumericsError, ShapeError, TrainingDiverged
 from .numkit import (
     AdamState,
     adam_init,
@@ -63,6 +69,7 @@ from .numkit import (
 from .sennet import SEModel, init_se_model, se_gradient_arrays, se_loss, se_parameter_arrays
 
 CHECKPOINT_MAGIC = b"INVSEN01"
+CHECKPOINT_VERSION = 2
 DIVERGENCE_LIMIT = 1e6
 
 HISTORY_FIELDS = ("epoch", "l_se", "l_conf_key", "l_conf_query",
@@ -113,7 +120,6 @@ class TrainState:
     opt_bias: AdamState
     epoch: int
     history: list
-    rng: np.random.Generator
 
 
 def init_state(config: TrainConfig, in_dim: int) -> TrainState:
@@ -133,7 +139,7 @@ def init_state(config: TrainConfig, in_dim: int) -> TrainState:
     opt_bias = adam_init(head_parameter_arrays(heads), config.lr_bias)
     return TrainState(config=config, model=model, heads=heads,
                       opt_main=opt_main, opt_bias=opt_bias, epoch=0,
-                      history=[], rng=make_rng(config.seed, "stream"))
+                      history=[])
 
 
 def train_step(state: TrainState, batch: np.ndarray, bias_labels,
@@ -141,7 +147,12 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
     """One min-max step on a batch; returns (state, report).
 
     bias_labels may be None only when lam = 0; the heads then sit idle and
-    the bias-side report fields are NaN.
+    the bias-side report fields are NaN. total_report, the value the
+    divergence guard reads, is
+    l_se + lam * (l_conf_key + l_conf_query + l_align + l_inv)
+         + mu * (l_ce_key + l_ce_query),
+    with l_align and l_inv (reported on lam > 0 steps only) taken as 0
+    when lam = 0.
     """
     w = weights if weights is not None else state.config.weights
     model, heads = state.model, state.heads
@@ -152,16 +163,17 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
     shift = None
     if w.lam > 0:
         # each contributor enters the reconstruction moved into its target's
-        # bias group; the nets are backpropagated below, once per forward pass
+        # bias group
         shift = bias_group_shift(x, bias_labels, heads.n_bias_classes)
-    se = se_loss(model, x, w.gamma, w.delta, mode="train", backward=w.lam == 0,
+    se = se_loss(model, x, w.gamma, w.delta, mode="train",
                  shift=shift, shift_weight=w.lam)
 
     l_ce_key = l_ce_query = l_conf_key = l_conf_query = float("nan")
     l_inv = None
     acc = float("nan")
     head_grads = None
-    grad_key, grad_query = se.grad_key, se.grad_query
+    g_key_out, g_query_out = se.grad_key_out, se.grad_query_out
+    cf_grads = None
     if bias_labels is not None:
         b = np.asarray(bias_labels)
         if b.shape[0] != x.shape[0]:
@@ -191,16 +203,20 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
             inv_u, inv_u_cf = invariance_grads(se.key_out, u_cf)
             inv_v, inv_v_cf = invariance_grads(se.query_out, v_cf)
             # reversal: the embeddings climb the heads' cross-entropy
-            g_key_out = (se.grad_key_out + w.lam * conf_into_u
+            g_key_out = (g_key_out + w.lam * conf_into_u
                          - w.lam * w.mu * ce_into_u + w.lam * inv_u)
-            g_query_out = (se.grad_query_out + w.lam * conf_into_v
+            g_query_out = (g_query_out + w.lam * conf_into_v
                            - w.lam * w.mu * ce_into_v + w.lam * inv_v)
-            grad_key = _add_grads(
-                mlp_backward(model.key_net, se.key_cache, g_key_out)[0],
-                mlp_backward(model.key_net, cache_u_cf, w.lam * inv_u_cf)[0])
-            grad_query = _add_grads(
-                mlp_backward(model.query_net, se.query_cache, g_query_out)[0],
-                mlp_backward(model.query_net, cache_v_cf, w.lam * inv_v_cf)[0])
+            cf_grads = (mlp_backward(model.key_net, cache_u_cf, w.lam * inv_u_cf)[0],
+                        mlp_backward(model.query_net, cache_v_cf, w.lam * inv_v_cf)[0])
+
+    # one backward pass per net on the combined embedding gradient, plus the
+    # counterfactual pass when lam > 0
+    grad_key = mlp_backward(model.key_net, se.key_cache, g_key_out)[0]
+    grad_query = mlp_backward(model.query_net, se.query_cache, g_query_out)[0]
+    if cf_grads is not None:
+        grad_key = _add_grads(grad_key, cf_grads[0])
+        grad_query = _add_grads(grad_query, cf_grads[1])
 
     total_report = se.loss
     if bias_labels is not None:
@@ -265,7 +281,11 @@ def _run_epochs(state: TrainState, x: np.ndarray, b, until_epoch: int) -> TrainS
         n_seen = 0
         for idx in epoch_batches(x.shape[0], cfg.batch_size, cfg.seed, epoch):
             bb = b[idx] if b is not None else None
-            _, rep = train_step(state, x[idx], bb, weights)
+            try:
+                _, rep = train_step(state, x[idx], bb, weights)
+            except NumericsError as exc:
+                raise TrainingDiverged(f"epoch {epoch}: {exc}",
+                                       report={"epoch": epoch}) from exc
             k = rep["batch_size"]
             n_seen += k
             for key, val in rep.items():
@@ -318,18 +338,6 @@ def resume(state: TrainState, dataset: Dataset, epochs: int | None = None) -> Tr
 # Checkpoints: magic + JSON manifest + packed little-endian float64 arrays
 # ---------------------------------------------------------------------------
 
-def _net_spec(net) -> dict:
-    return {
-        "dims": [net.layers[0].w.shape[0]] + [lay.w.shape[1] for lay in net.layers],
-        "activations": [lay.activation for lay in net.layers],
-        "batchnorm": [lay.batchnorm is not None for lay in net.layers],
-        "bn_momentum": [lay.batchnorm.momentum if lay.batchnorm else None
-                        for lay in net.layers],
-        "bn_eps": [lay.batchnorm.eps if lay.batchnorm else None
-                   for lay in net.layers],
-    }
-
-
 def _net_arrays(prefix: str, net):
     out = []
     for i, lay in enumerate(net.layers):
@@ -345,6 +353,7 @@ def _net_arrays(prefix: str, net):
 
 
 def _state_arrays(state: TrainState):
+    """Every array of the state, named, in checkpoint order."""
     named = []
     named += _net_arrays("model.key_net", state.model.key_net)
     named += _net_arrays("model.query_net", state.model.query_net)
@@ -360,31 +369,19 @@ def _state_arrays(state: TrainState):
 
 
 def save_checkpoint(state: TrainState, path: str) -> None:
-    """Write the full training state; the round trip is bit exact."""
+    """Write the full training state; the round trip is bit exact.
+
+    The manifest holds what init_state needs to rebuild the state (the
+    config and the input width), the epoch, the two Adam step counts, the
+    history and the index of the packed arrays, in _state_arrays order.
+    """
     named = _state_arrays(state)
     manifest = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
+        "in_dim": state.model.in_dim,
         "epoch": state.epoch,
         "config": asdict(state.config),
-        "model": {
-            "embed_dim": state.model.embed_dim,
-            "alpha_learnable": state.model.alpha_learnable,
-            "swap_roles": state.model.swap_roles,
-            "key_net": _net_spec(state.model.key_net),
-            "query_net": _net_spec(state.model.query_net),
-        },
-        "heads": {
-            "n_bias_classes": state.heads.n_bias_classes,
-            "g": _net_spec(state.heads.g),
-            "g_prime": _net_spec(state.heads.g_prime),
-        },
-        "opt_main": {"lr": state.opt_main.lr, "beta1": state.opt_main.beta1,
-                     "beta2": state.opt_main.beta2, "eps": state.opt_main.eps,
-                     "t": state.opt_main.t},
-        "opt_bias": {"lr": state.opt_bias.lr, "beta1": state.opt_bias.beta1,
-                     "beta2": state.opt_bias.beta2, "eps": state.opt_bias.eps,
-                     "t": state.opt_bias.t},
-        "rng": numkit.rng_state(state.rng),
+        "t": {"opt_main": state.opt_main.t, "opt_bias": state.opt_bias.t},
         "history": state.history,
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in named],
     }
@@ -398,23 +395,6 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         fh.write(blob)
         fh.write(payload)
     os.replace(tmp, path)
-
-
-def _build_net(spec: dict):
-    from .numkit import BatchNorm, DenseLayer, MlpParams
-    layers = []
-    dims = spec["dims"]
-    for i in range(len(dims) - 1):
-        bn = None
-        if spec["batchnorm"][i]:
-            bn = BatchNorm(scale=np.zeros(dims[i + 1]), shift=np.zeros(dims[i + 1]),
-                           running_mean=np.zeros(dims[i + 1]),
-                           running_var=np.zeros(dims[i + 1]),
-                           momentum=spec["bn_momentum"][i], eps=spec["bn_eps"][i])
-        layers.append(DenseLayer(w=np.zeros((dims[i], dims[i + 1])),
-                                 b=np.zeros(dims[i + 1]),
-                                 activation=spec["activations"][i], batchnorm=bn))
-    return MlpParams(layers=layers)
 
 
 def load_checkpoint(path: str) -> TrainState:
@@ -434,61 +414,31 @@ def load_checkpoint(path: str) -> TrainState:
 
 
 def _restore_state(manifest: dict, raw: bytes, offset: int, path: str) -> TrainState:
-    if manifest.get("version") != 1:
+    """Rebuild the state from its config, then fill its arrays in place."""
+    if manifest.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {manifest.get('version')!r}")
     cfg_dict = dict(manifest["config"])
     cfg_dict["weights"] = LossWeights(**cfg_dict["weights"])
     cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
     cfg_dict["bias_hidden"] = tuple(cfg_dict["bias_hidden"])
-    config = TrainConfig(**cfg_dict)
+    state = init_state(TrainConfig(**cfg_dict), manifest["in_dim"])
 
-    arrays = {}
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
+    named = _state_arrays(state)
+    index = [(entry["name"], tuple(entry["shape"])) for entry in manifest["arrays"]]
+    layout = [(name, arr.shape) for name, arr in named]
+    if index != layout:
+        raise CheckpointError(
+            f"{path}: the array index does not match the layout its config builds")
+    for _, arr in named:
+        end = offset + 8 * arr.size
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated array payload")
-        arrays[entry["name"]] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
+        arr[...] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(arr.shape)
         offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after array payload")
-
-    def fill_net(prefix, spec):
-        net = _build_net(spec)
-        for i, lay in enumerate(net.layers):
-            lay.w = arrays[f"{prefix}.{i}.w"]
-            lay.b = arrays[f"{prefix}.{i}.b"]
-            if lay.batchnorm is not None:
-                lay.batchnorm.scale = arrays[f"{prefix}.{i}.bn.scale"]
-                lay.batchnorm.shift = arrays[f"{prefix}.{i}.bn.shift"]
-                lay.batchnorm.running_mean = arrays[f"{prefix}.{i}.bn.running_mean"]
-                lay.batchnorm.running_var = arrays[f"{prefix}.{i}.bn.running_var"]
-        return net
-
-    model = SEModel(
-        key_net=fill_net("model.key_net", manifest["model"]["key_net"]),
-        query_net=fill_net("model.query_net", manifest["model"]["query_net"]),
-        embed_dim=manifest["model"]["embed_dim"],
-        beta_raw=arrays["model.beta_raw"].reshape(()),
-        alpha=arrays["model.alpha"].reshape(()),
-        alpha_learnable=manifest["model"]["alpha_learnable"],
-        swap_roles=manifest["model"]["swap_roles"])
-    heads = BiasHeads(g=fill_net("heads.g", manifest["heads"]["g"]),
-                      g_prime=fill_net("heads.g_prime", manifest["heads"]["g_prime"]),
-                      n_bias_classes=manifest["heads"]["n_bias_classes"])
-
-    def fill_opt(tag, meta, n_params):
-        return AdamState(lr=meta["lr"], beta1=meta["beta1"], beta2=meta["beta2"],
-                         eps=meta["eps"], t=meta["t"],
-                         m=[arrays[f"{tag}.m.{i}"] for i in range(n_params)],
-                         v=[arrays[f"{tag}.v.{i}"] for i in range(n_params)])
-
-    opt_main = fill_opt("opt_main", manifest["opt_main"],
-                        len(se_parameter_arrays(model)))
-    opt_bias = fill_opt("opt_bias", manifest["opt_bias"],
-                        len(head_parameter_arrays(heads)))
-    return TrainState(config=config, model=model, heads=heads,
-                      opt_main=opt_main, opt_bias=opt_bias,
-                      epoch=manifest["epoch"], history=manifest["history"],
-                      rng=numkit.restore_rng(manifest["rng"]))
+    state.opt_main.t = manifest["t"]["opt_main"]
+    state.opt_bias.t = manifest["t"]["opt_bias"]
+    state.epoch = manifest["epoch"]
+    state.history = manifest["history"]
+    return state

@@ -122,8 +122,10 @@ class TestCriterion1:
             m.beta_raw = np.asarray(arrays[2 * nk]).reshape(()).copy()
             m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, xb, gamma=10.0, delta=0.9)
-            return res.loss, se_gradient_arrays(m, res.grad_key, res.grad_query,
-                                                res.grad_beta_raw, res.grad_alpha)
+            return res.loss, se_gradient_arrays(
+                m, mlp_backward(m.key_net, res.key_cache, res.grad_key_out)[0],
+                mlp_backward(m.query_net, res.query_cache, res.grad_query_out)[0],
+                res.grad_beta_raw, res.grad_alpha)
 
         model0 = init_se_model(5, hidden=(8, 6), embed_dim=4,
                                alpha_learnable=True, rng=make_rng(4, "c1"))
@@ -144,7 +146,9 @@ class TestCriterion1:
             m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, xb, gamma=10.0, delta=0.9, shift=shift, shift_weight=0.7)
             return res.loss + 0.7 * res.l_align, se_gradient_arrays(
-                m, res.grad_key, res.grad_query, res.grad_beta_raw, res.grad_alpha)
+                m, mlp_backward(m.key_net, res.key_cache, res.grad_key_out)[0],
+                mlp_backward(m.query_net, res.query_cache, res.grad_query_out)[0],
+                res.grad_beta_raw, res.grad_alpha)
 
         reports["se_loss-aligned"] = finite_diff_check(
             se_aligned_lg, se_parameter_arrays(model0), tolerance=tol, max_coords=None)

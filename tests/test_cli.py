@@ -120,6 +120,23 @@ class TestTrain:
         assert code == 3
         assert (out / "divergence.json").exists()
 
+    def test_non_finite_step_exits_3_with_dump(self, tmp_path, capsys):
+        # a NumericsError inside a step (here from adam_step or the next
+        # forward pass) is a divergence, not a runtime failure
+        run_cli("gen-data", "--k", "2", "--d", "10", "--rank", "2",
+                "--n-per", "20", "--mode", "plain", "--seed", "1",
+                "--out", str(tmp_path))
+        out = tmp_path / "div"
+        capsys.readouterr()
+        code = run_cli("train", "--data", str(tmp_path / "data.csv"),
+                       "--epochs", "2", "--batch-size", "8", "--widths", "6",
+                       "--embed-dim", "4", "--bias-widths", "6",
+                       "--lr-main", "1e308", "--out", str(out))
+        assert code == 3
+        dump = json.loads((out / "divergence.json").read_text())
+        assert "non-finite" in dump["error"]
+        assert "diverged" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path, data_dir):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -152,6 +169,14 @@ def _unknown_config_key(manifest):
 def _misnamed_array(manifest):
     entry = next(e for e in manifest["arrays"] if e["name"] == "model.key_net.0.w")
     entry["name"] = "model.key_net.0.weights"
+
+
+def _version_1(manifest):
+    manifest["version"] = 1
+
+
+def _hidden_disagrees_with_arrays(manifest):
+    manifest["config"]["hidden"] = [9, 6]
 
 
 class TestEvaluate:
@@ -193,7 +218,8 @@ class TestEvaluate:
             payloads.append(json.dumps(data, sort_keys=True))
         assert payloads[0] == payloads[1]
 
-    @pytest.mark.parametrize("corrupt", [_drop_config, _unknown_config_key, _misnamed_array])
+    @pytest.mark.parametrize("corrupt", [_drop_config, _unknown_config_key, _misnamed_array,
+                                         _version_1, _hidden_disagrees_with_arrays])
     def test_malformed_checkpoint_manifest_exits_1(self, tmp_path, data_dir,
                                                     trained_dir, capsys, corrupt):
         raw = (trained_dir / "checkpoint.invsen").read_bytes()

@@ -68,6 +68,11 @@ class TestAffinity:
         assert np.array_equal(affinity_from_coefficients(np.zeros((3, 3))),
                               np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(3, 4), (3,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ShapeError, match="square"):
+            affinity_from_coefficients(np.zeros(shape))
+
     def test_matches_independent_coefficients(self):
         model = init_se_model(4, hidden=(6,), embed_dim=4, rng=make_rng(0, "m"))
         model.beta_raw = np.array(-3.0)

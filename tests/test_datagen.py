@@ -156,6 +156,18 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError, match="n=3"):
             load_dataset(str(path))
 
+    def test_header_larger_than_file(self, tmp_path):
+        # refused before anything of the header's size is allocated
+        # (1e9 x 1e6 float64 would be 7.1 PiB)
+        path = tmp_path / "bad.csv"
+        path.write_text("# invsen-dataset v1 n=1000000000 d=1000000 has_s=0 has_b=0\n"
+                        "1.0,2.0\n")
+        with pytest.raises(DataFormatError, match="more than the file holds"):
+            load_dataset(str(path))
+        # the smallest file that can hold its header's rows is accepted
+        path.write_text("# invsen-dataset v1 n=2 d=2 has_s=0 has_b=1\n1,2,0\n3,4,1")
+        assert load_dataset(str(path)).n == 2
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope\n1.0,2.0\n")

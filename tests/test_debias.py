@@ -3,11 +3,9 @@ import pytest
 
 from invsen import sennet
 from invsen.debias import (
-    BiasHeads,
     LossWeights,
     bias_group_shift,
     bias_posterior,
-    combined_losses,
     counterfactual_inputs,
     cross_entropy_grad_logits,
     cross_entropy_loss,
@@ -19,7 +17,7 @@ from invsen.debias import (
     invariance_loss,
 )
 from invsen.errors import ShapeError
-from invsen.numkit import DenseLayer, MlpParams, make_rng, mlp_forward
+from invsen.numkit import DenseLayer, MlpParams, make_rng
 
 from oracles import ref_mlp_forward
 
@@ -110,64 +108,6 @@ class TestEntropyConfusion:
     def test_uniform_gradient_is_zero(self):
         g = entropy_confusion_grad_logits(np.full((5, 3), 1.0 / 3.0))
         assert np.abs(g).max() < 1e-12
-
-
-class TestCombinedLosses:
-    def make_inputs(self, n=8, d=5):
-        model = sennet.init_se_model(d, hidden=(6,), embed_dim=4,
-                                     rng=make_rng(8, "m"))
-        heads = init_bias_heads(4, hidden=(6, 5), rng=make_rng(9, "h"))
-        x = make_rng(10, "x").standard_normal((n, d))
-        b = make_rng(11, "b").integers(0, 2, size=n)
-        return model, heads, x, b
-
-    def test_lambda_mu_zero_reduces_to_se(self):
-        model, heads, x, b = self.make_inputs()
-        w = LossWeights(gamma=10.0, delta=0.9, lam=0.0, mu=0.0)
-        out = combined_losses(model, heads, x, b, w, mode="eval")
-        se = sennet.se_loss(model, x, 10.0, 0.9, mode="eval")
-        assert out.total_report == pytest.approx(se.loss, rel=1e-15)
-
-    def test_uniform_heads(self):
-        model, _, x, b = self.make_inputs()
-        heads = BiasHeads(g=logit_head(4, [0.0, 0.0]),
-                          g_prime=logit_head(4, [0.0, 0.0]), n_bias_classes=2)
-        w = LossWeights(gamma=10.0, delta=0.9, lam=1.0, mu=1.0)
-        out = combined_losses(model, heads, x, b, w, mode="eval")
-        assert out.l_conf_key == pytest.approx(-np.log(2.0), abs=1e-12)
-        assert out.l_conf_query == pytest.approx(-np.log(2.0), abs=1e-12)
-        assert out.l_ce_key == pytest.approx(np.log(2.0), abs=1e-12)
-        assert out.l_ce_query == pytest.approx(np.log(2.0), abs=1e-12)
-
-    def test_seeded_compositional(self):
-        model, heads, x, b = self.make_inputs()
-        w = LossWeights(gamma=10.0, delta=0.9, lam=0.7, mu=1.3)
-        out = combined_losses(model, heads, x, b, w, mode="eval")
-        se = sennet.se_loss(model, x, 10.0, 0.9, mode="eval")
-        pk, _ = bias_posterior(heads.g, se.key_out, "eval")
-        pq, _ = bias_posterior(heads.g_prime, se.query_out, "eval")
-        x_cf = counterfactual_inputs(x, b)
-        u_cf, _ = mlp_forward(model.key_net, x_cf, "eval")
-        v_cf, _ = mlp_forward(model.query_net, x_cf, "eval")
-        # each contributor moved into the bias group of the sample it rebuilds
-        means = [x[b == k].mean(axis=0) for k in (0, 1)]
-        aligned = np.array([sum(se.coeffs[i, j] * (x[i] - means[b[i]] + means[b[j]])
-                                for i in range(len(b))) for j in range(len(b))])
-        l_align = 10.0 / (2 * len(b)) * (((aligned - x) ** 2).sum()
-                                         - ((se.coeffs.T @ x - x) ** 2).sum())
-        expected = (se.loss
-                    + 0.7 * (entropy_confusion_loss(pk) + entropy_confusion_loss(pq))
-                    + 0.7 * (l_align + invariance_loss(se.key_out, u_cf)
-                             + invariance_loss(se.query_out, v_cf))
-                    + 1.3 * (cross_entropy_loss(pk, b) + cross_entropy_loss(pq, b)))
-        assert out.l_align == pytest.approx(l_align, rel=1e-12)
-        assert out.total_report == pytest.approx(expected, rel=1e-14)
-
-    def test_misaligned_labels(self):
-        model, heads, x, b = self.make_inputs()
-        with pytest.raises(ShapeError):
-            combined_losses(model, heads, x, b[:-1],
-                            LossWeights(gamma=1.0, delta=0.9))
 
 
 class TestBiasGroupShift:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from invsen import numkit, sennet
+from invsen.debias import bias_group_shift
 from invsen.errors import ShapeError
-from invsen.numkit import DenseLayer, MlpParams, finite_diff_check, make_rng
+from invsen.numkit import DenseLayer, MlpParams, finite_diff_check, make_rng, mlp_backward
 from invsen.sennet import (
     SEModel,
     coefficient_matrix,
@@ -220,14 +221,32 @@ class TestSELoss:
             m.beta_raw = np.asarray(arrays[2 * nk]).reshape(()).copy()
             m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, x, gamma=10.0, delta=0.9)
-            return res.loss, se_gradient_arrays(m, res.grad_key, res.grad_query,
-                                                res.grad_beta_raw, res.grad_alpha)
+            return res.loss, se_gradient_arrays(
+                m, mlp_backward(m.key_net, res.key_cache, res.grad_key_out)[0],
+                mlp_backward(m.query_net, res.query_cache, res.grad_query_out)[0],
+                res.grad_beta_raw, res.grad_alpha)
 
         m0 = init_se_model(5, hidden=(8, 6), embed_dim=4, alpha_learnable=True,
                            rng=make_rng(23, "m"))
         rep = finite_diff_check(loss_and_grad, se_parameter_arrays(m0),
                                 tolerance=1e-4, max_coords=None)
         assert rep.passed, rep.max_rel_err
+
+    def test_aligned_term_matches_explicit_loop(self):
+        model = init_se_model(5, hidden=(6,), embed_dim=4, rng=make_rng(8, "m"))
+        x = make_rng(10, "x").standard_normal((8, 5))
+        b = make_rng(11, "b").integers(0, 2, size=8)
+        res = se_loss(model, x, 10.0, 0.9, mode="eval",
+                      shift=bias_group_shift(x, b), shift_weight=0.7)
+        # each contributor moved into the bias group of the sample it rebuilds
+        means = [x[b == k].mean(axis=0) for k in (0, 1)]
+        aligned = np.array([sum(res.coeffs[i, j] * (x[i] - means[b[i]] + means[b[j]])
+                                for i in range(len(b))) for j in range(len(b))])
+        l_align = 10.0 / (2 * len(b)) * (((aligned - x) ** 2).sum()
+                                         - ((res.coeffs.T @ x - x) ** 2).sum())
+        assert res.l_align == pytest.approx(l_align, rel=1e-12)
+        # the plain objective's value is reported unchanged
+        assert res.loss == se_loss(model, x, 10.0, 0.9, mode="eval").loss
 
     def test_gamma_must_be_positive(self):
         model = init_se_model(3, hidden=(5,), embed_dim=4, rng=make_rng(24, "m"))

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from invsen.debias import (
     bias_posterior,
     counterfactual_inputs,
     cross_entropy_grad_logits,
+    cross_entropy_loss,
     entropy_confusion_grad_logits,
+    entropy_confusion_loss,
     head_parameter_arrays,
     invariance_grads,
+    invariance_loss,
 )
-from invsen.errors import CheckpointError, ConfigError, TrainingDiverged
+from invsen.errors import CheckpointError, ConfigError, ShapeError, TrainingDiverged
 from invsen.numkit import DenseLayer, MlpParams, adam_init, adam_step, mlp_backward, mlp_forward, normalize_rows
 from invsen.sennet import SEModel, se_gradient_arrays, se_loss, se_parameter_arrays
 from invsen.trainer import (
@@ -67,8 +71,21 @@ def clone_state(state: TrainState) -> TrainState:
     return TrainState(config=state.config, model=model, heads=heads,
                       opt_main=clone_opt(state.opt_main),
                       opt_bias=clone_opt(state.opt_bias),
-                      epoch=state.epoch, history=list(state.history),
-                      rng=numkit.restore_rng(numkit.rng_state(state.rng)))
+                      epoch=state.epoch, history=list(state.history))
+
+
+def se_param_grads(model, se):
+    """se_loss's gradients for every main-optimizer parameter: the embedding
+    gradients backpropagated through both nets, then beta and alpha."""
+    return se_gradient_arrays(
+        model, mlp_backward(model.key_net, se.key_cache, se.grad_key_out)[0],
+        mlp_backward(model.query_net, se.query_cache, se.grad_query_out)[0],
+        se.grad_beta_raw, se.grad_alpha)
+
+
+def read_manifest(path):
+    raw = path.read_bytes()
+    return json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
 
 
 def params_equal(a, b):
@@ -89,8 +106,7 @@ class TestTrainStep:
         # straight-line pure-SE step on the twin: ignore the heads entirely
         se = se_loss(twin.model, x, cfg.weights.gamma, cfg.weights.delta)
         adam_step(twin.opt_main, se_parameter_arrays(twin.model),
-                  se_gradient_arrays(twin.model, se.grad_key, se.grad_query,
-                                     se.grad_beta_raw, se.grad_alpha))
+                  se_param_grads(twin.model, se))
         assert params_equal(se_parameter_arrays(state.model),
                             se_parameter_arrays(twin.model))
         # the heads did move, on cross-entropy
@@ -148,6 +164,69 @@ class TestTrainStep:
                             se_parameter_arrays(twin.model))
         assert params_equal(head_parameter_arrays(state.heads),
                             head_parameter_arrays(twin.heads))
+
+    def test_report_total_composition(self):
+        ds = toy_dataset()
+        x = normalize_rows(ds.X)[:8]
+        b = ds.b[:8]
+        assert 0 < b.sum() < b.size
+        w = LossWeights(gamma=20.0, delta=0.9, lam=0.7, mu=1.3)
+        state = init_state(tiny_config(weights=w), x.shape[1])
+        twin = clone_state(state)
+
+        _, rep = train_step(state, x, b, w)
+
+        se = se_loss(twin.model, x, w.gamma, w.delta,
+                     shift=bias_group_shift(x, b), shift_weight=w.lam)
+        pk, _ = bias_posterior(twin.heads.g, se.key_out, "train")
+        pq, _ = bias_posterior(twin.heads.g_prime, se.query_out, "train")
+        x_cf = counterfactual_inputs(x, b)
+        u_cf, _ = mlp_forward(twin.model.key_net, x_cf, "train")
+        v_cf, _ = mlp_forward(twin.model.query_net, x_cf, "train")
+        l_inv = invariance_loss(se.key_out, u_cf) + invariance_loss(se.query_out, v_cf)
+        expected = (se.loss
+                    + 0.7 * (entropy_confusion_loss(pk) + entropy_confusion_loss(pq))
+                    + 0.7 * (se.l_align + l_inv)
+                    + 1.3 * (cross_entropy_loss(pk, b) + cross_entropy_loss(pq, b)))
+        assert rep["l_se"] == se.loss
+        assert rep["l_align"] == se.l_align
+        assert rep["l_inv"] == pytest.approx(l_inv, rel=1e-14)
+        assert rep["total_report"] == pytest.approx(expected, rel=1e-14)
+
+    def test_report_lambda_mu_zero_is_se_loss(self):
+        ds = toy_dataset()
+        x = normalize_rows(ds.X)[:8]
+        w = LossWeights(gamma=20.0, delta=0.9, lam=0.0, mu=0.0)
+        state = init_state(tiny_config(weights=w), x.shape[1])
+        se = se_loss(clone_state(state).model, x, w.gamma, w.delta)
+        _, rep = train_step(state, x, ds.b[:8], w)
+        assert rep["total_report"] == se.loss
+        assert "l_align" not in rep and "l_inv" not in rep
+
+    def test_report_uniform_heads(self):
+        ds = toy_dataset()
+        x = normalize_rows(ds.X)[:8]
+        w = LossWeights(gamma=20.0, delta=0.9, lam=1.0, mu=1.0)
+        cfg = tiny_config(weights=w)
+        state = init_state(cfg, x.shape[1])
+        # zero weights and biases: every posterior is uniform
+        def zero_head():
+            return MlpParams(layers=[DenseLayer(w=np.zeros((cfg.embed_dim, 2)),
+                                                b=np.zeros(2), activation="none")])
+        state.heads = BiasHeads(g=zero_head(), g_prime=zero_head())
+        state.opt_bias = adam_init(head_parameter_arrays(state.heads), cfg.lr_bias)
+        _, rep = train_step(state, x, ds.b[:8], w)
+        for key in ("l_conf_key", "l_conf_query"):
+            assert rep[key] == pytest.approx(-np.log(2.0), abs=1e-12)
+        for key in ("l_ce_key", "l_ce_query"):
+            assert rep[key] == pytest.approx(np.log(2.0), abs=1e-12)
+
+    def test_misaligned_bias_labels(self):
+        ds = toy_dataset()
+        x = normalize_rows(ds.X)[:8]
+        state = init_state(tiny_config(), x.shape[1])
+        with pytest.raises(ShapeError):
+            train_step(state, x, ds.b[:7])
 
     def test_reversal_sign_is_exactly_minus_lambda_mu(self):
         # the CE contribution to the key-net gradient equals
@@ -304,9 +383,7 @@ class TestFit:
                 se = se_loss(state.model, x[idx], cfg.weights.gamma,
                              cfg.weights.delta)
                 adam_step(state.opt_main, se_parameter_arrays(state.model),
-                          se_gradient_arrays(state.model, se.grad_key,
-                                             se.grad_query, se.grad_beta_raw,
-                                             se.grad_alpha))
+                          se_param_grads(state.model, se))
         assert params_equal(se_parameter_arrays(full.model),
                             se_parameter_arrays(state.model))
 
@@ -348,6 +425,39 @@ class TestCheckpoints:
         path2 = str(tmp_path / "ck2.invsen")
         save_checkpoint(back, path2)
         assert open(path, "rb").read() == open(path2, "rb").read()
+
+    @pytest.mark.parametrize("kw", [
+        dict(bias_batchnorm=False),
+        dict(alpha_learnable=True, swap_roles=True, bias_warmup_epochs=1),
+        dict(weights=LossWeights(gamma=20.0, delta=0.9, lam=0.0, mu=1.0)),
+    ], ids=["no-batchnorm", "alpha-swap", "lam0"])
+    def test_load_save_byte_identical(self, tmp_path, kw):
+        kw = {"weights": LossWeights(gamma=20.0, delta=0.9, lam=0.5, mu=1.0), **kw}
+        save_checkpoint(fit(tiny_config(epochs=2, **kw), toy_dataset()),
+                        str(tmp_path / "a"))
+        save_checkpoint(load_checkpoint(str(tmp_path / "a")), str(tmp_path / "b"))
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        # the config fixes the architecture: no spec or RNG is stored
+        assert set(read_manifest(tmp_path / "a")) == {
+            "version", "in_dim", "epoch", "config", "t", "history", "arrays"}
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda m: m.update(version=1), "version"),
+        (lambda m: m["config"].update(hidden=[10, 9]), "layout"),
+        (lambda m: m["config"].update(bias_batchnorm=False), "layout"),
+        (lambda m: m.update(in_dim=11), "layout"),
+    ], ids=["version-1", "hidden", "batchnorm", "in-dim"])
+    def test_manifest_that_does_not_match_refused(self, tmp_path, edit, match):
+        path = tmp_path / "ck.invsen"
+        save_checkpoint(fit(tiny_config(epochs=1), toy_dataset()), str(path))
+        raw = path.read_bytes()
+        manifest = read_manifest(path)
+        edit(manifest)
+        blob = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                         + raw[16 + int.from_bytes(raw[8:16], "little"):])
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.invsen"
