@@ -51,6 +51,6 @@ print(f"se loss {res.loss:.3f} = reconstruction {res.recon:.3f} "
 # alpha; backpropagating the embedding gradients through the nets gives the
 # rest of what the trainer feeds to Adam.
 grad_key, _ = mlp_backward(model.key_net, res.key_cache, res.grad_key_out)
-print("gradient layer count (key net):", len(grad_key))
+print("gradient arrays (key net, weights and biases):", len(grad_key))
 print("beta gradient:", round(res.grad_beta_raw, 6),
       " alpha gradient:", round(res.grad_alpha, 6))

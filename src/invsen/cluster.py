@@ -47,22 +47,29 @@ def affinity_from_coefficients(c: np.ndarray) -> np.ndarray:
     """A = |C| + |C^T| for a square, zero-diagonal coefficient matrix; A is
     symmetric and non-negative by construction."""
     c = np.asarray(c, dtype=float)
+    _check_coefficients(c)
+    return np.abs(c) + np.abs(c.T)
+
+
+def _check_coefficients(c: np.ndarray) -> None:
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ShapeError(f"coefficient matrix must be square, got {c.shape}")
     if np.any(np.diag(c) != 0):
         raise NumericsError("coefficient matrix has a nonzero diagonal")
-    return np.abs(c) + np.abs(c.T)
 
 
 def build_affinity(model: SEModel, x: np.ndarray) -> np.ndarray:
     """Affinity A = |C| + |C^T| from eval-mode coefficients over the whole
     (unit-normalized) sample set. Symmetric, non-negative and zero-diagonal
-    by construction."""
+    by construction. C is its own scratch: |C| is taken in place, so the
+    sum is the only other n x n array."""
     x = normalize_rows(np.asarray(x, dtype=float))
     if x.shape[0] < 2:
         raise ShapeError("build_affinity needs at least two samples")
     c, _ = coefficients(model, x, x, mode="eval")
-    return affinity_from_coefficients(c)
+    _check_coefficients(c)
+    np.abs(c, out=c)
+    return c + c.T
 
 
 def _check_affinity(a: np.ndarray) -> None:
@@ -92,8 +99,10 @@ def normalized_laplacian(a: np.ndarray, variant: str = "symmetric") -> np.ndarra
         raise ValueError(f"unknown laplacian variant {variant!r}")
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
-    scaled = a * np.outer(dinv, dinv)  # exactly symmetric: outer is symmetric
-    lap = -scaled
+    # -(D^-1/2 A D^-1/2) in one array; exactly symmetric, as outer is
+    lap = np.outer(dinv, dinv)
+    lap *= a
+    np.negative(lap, out=lap)
     np.fill_diagonal(lap, 1.0 + np.diag(lap))
     return lap
 
@@ -128,7 +137,8 @@ def smallest_eigenvectors(lap: np.ndarray, k: int, tol: float = 1e-8):
     vecs = vecs * np.where(lead < 0, -1.0, 1.0)
     gram_err = np.abs(vecs.T @ vecs - np.eye(k)).max()
     resid = np.abs(lap @ vecs - vecs * vals).max()
-    if gram_err > tol or resid > max(tol, 1e-6 * max(1.0, np.abs(lap).max())):
+    scale = max(lap.max(), -lap.min())  # max |lap| without an n x n temporary
+    if gram_err > tol or resid > max(tol, 1e-6 * max(1.0, scale)):
         raise NumericsError(
             f"eigenvector residuals too large (orthonormality {gram_err:.2e}, "
             f"residual {resid:.2e})")

@@ -80,10 +80,13 @@ class BiasHeads:
 
 def init_bias_heads(embed_dim: int, hidden=(64, 32, 16), n_bias_classes: int = 2,
                     batchnorm: bool = True,
-                    rng: np.random.Generator | None = None) -> BiasHeads:
+                    rng: np.random.Generator | None = None,
+                    out: np.ndarray | None = None) -> BiasHeads:
     """Heads are MLPs with ReLU between the dense layers and a bare linear
     classification layer on top; batchnorm=True (the default) normalizes
-    between the dense layers.
+    between the dense layers. The head_parameter_arrays are consecutive
+    views of out (a flat vector of the right length, such as an optimizer's
+    parameter vector) or of a new vector.
 
     batchnorm=False ties the head's confidence to the bias amplitude left in
     the embeddings; with normalization the head can stay saturated on an
@@ -99,8 +102,10 @@ def init_bias_heads(embed_dim: int, hidden=(64, 32, 16), n_bias_classes: int = 2
     dims = [embed_dim, *hidden, n_bias_classes]
     acts = ["relu"] * len(hidden) + ["none"]
     bn = [batchnorm] * len(hidden) + [False]
-    g = numkit.init_mlp(dims, acts, batchnorm=bn, rng=rng)
-    g_prime = numkit.init_mlp(dims, acts, batchnorm=bn, rng=rng)
+    n_head = numkit.flat_size(numkit.mlp_shapes(dims, bn))
+    out = numkit.flat_vector(out, 2 * n_head)
+    g = numkit.init_mlp(dims, acts, batchnorm=bn, rng=rng, out=out[:n_head])
+    g_prime = numkit.init_mlp(dims, acts, batchnorm=bn, rng=rng, out=out[n_head:])
     return BiasHeads(g=g, g_prime=g_prime, n_bias_classes=n_bias_classes)
 
 
@@ -257,5 +262,6 @@ def head_accuracy(probs: np.ndarray, labels) -> float:
 
 
 def head_parameter_arrays(heads: BiasHeads) -> list[np.ndarray]:
-    """Arrays updated by the bias optimizer, both heads, fixed order."""
+    """Arrays updated by the bias optimizer, both heads, fixed order. From
+    init_bias_heads they lie end to end in one vector, in this order."""
     return numkit.mlp_param_arrays(heads.g) + numkit.mlp_param_arrays(heads.g_prime)

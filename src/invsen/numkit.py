@@ -4,12 +4,18 @@ gradients, the Adam optimizer, and a finite-difference gradient checker.
 Everything is float64. The MLP architecture is fixed enough (dense layers,
 optional batchnorm, relu/tanh/none activations) that the backward pass is
 written by hand instead of going through an autodiff tape.
+
+Trainable arrays live flat: init_mlp lays a net's arrays out as
+consecutive views of one vector (mlp_shapes gives the layout), mlp_backward
+writes the parameter gradients into views of a vector of the same layout,
+and adam_step updates the whole vector at once.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,33 +143,73 @@ class MlpParams:
         return self.layers[-1].w.shape[1]
 
 
-def init_mlp(dims, activations, batchnorm, rng: np.random.Generator) -> MlpParams:
+def mlp_shapes(dims, batchnorm) -> list[tuple]:
+    """Shapes of the trainable arrays of init_mlp(dims, ..., batchnorm), in
+    mlp_param_arrays order; plain integer arithmetic, nothing is allocated."""
+    if isinstance(batchnorm, bool):
+        batchnorm = [batchnorm] * (len(dims) - 1)
+    shapes = []
+    for d_in, d_out, bn in zip(dims[:-1], dims[1:], batchnorm):
+        shapes += [(d_in, d_out), (d_out,)] + [(d_out,)] * (2 if bn else 0)
+    return shapes
+
+
+def flat_size(shapes) -> int:
+    """Number of values in arrays of the given shapes."""
+    return sum(math.prod(shape) for shape in shapes)
+
+
+def flat_vector(out: np.ndarray | None, size: int) -> np.ndarray:
+    """out, checked to be a vector of size values, or a new zero vector."""
+    if out is None:
+        return np.zeros(size)
+    if out.shape != (size,):
+        raise ShapeError(f"need a vector of {size} values, got shape {out.shape}")
+    return out
+
+
+def flat_views(vec: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the contiguous vector vec, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        end = start + math.prod(shape)
+        views.append(vec[start:end].reshape(shape))
+        start = end
+    return views
+
+
+def init_mlp(dims, activations, batchnorm, rng: np.random.Generator,
+             out: np.ndarray | None = None) -> MlpParams:
     """Build an MLP with uniform(-a, a) weights, a = sqrt(6/(fan_in+fan_out)).
 
     dims is [d_in, h1, ..., d_out]; activations has one entry per weight
-    layer; batchnorm is a bool (all layers) or a per-layer list.
+    layer; batchnorm is a bool (all layers) or a per-layer list. The
+    trainable arrays are views of out, a flat vector of
+    flat_size(mlp_shapes(dims, batchnorm)) values, or of a new one.
     """
     n_layers = len(dims) - 1
     if len(activations) != n_layers:
         raise ShapeError(f"need {n_layers} activations, got {len(activations)}")
     if isinstance(batchnorm, bool):
         batchnorm = [batchnorm] * n_layers
+    shapes = mlp_shapes(dims, batchnorm)
+    views = iter(flat_views(flat_vector(out, flat_size(shapes)), shapes))
     layers = []
     for i in range(n_layers):
         d_in, d_out = dims[i], dims[i + 1]
         if activations[i] not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activations[i]!r}")
         a = np.sqrt(6.0 / (d_in + d_out))
-        w = rng.uniform(-a, a, size=(d_in, d_out))
-        b = np.zeros(d_out)
+        w, b = next(views), next(views)
+        w[...] = rng.uniform(-a, a, size=(d_in, d_out))
+        b[...] = 0.0
         bn = None
         if batchnorm[i]:
-            bn = BatchNorm(
-                scale=np.ones(d_out),
-                shift=np.zeros(d_out),
-                running_mean=np.zeros(d_out),
-                running_var=np.ones(d_out),
-            )
+            scale, shift = next(views), next(views)
+            scale[...] = 1.0
+            shift[...] = 0.0
+            bn = BatchNorm(scale=scale, shift=shift,
+                           running_mean=np.zeros(d_out), running_var=np.ones(d_out))
         layers.append(DenseLayer(w=w, b=b, activation=activations[i], batchnorm=bn))
     return MlpParams(layers=layers)
 
@@ -207,18 +253,6 @@ def set_param_arrays(params: MlpParams, arrays) -> MlpParams:
             lay.batchnorm.scale = np.asarray(next(it), dtype=float)
             lay.batchnorm.shift = np.asarray(next(it), dtype=float)
     return params
-
-
-def mlp_grad_arrays(grads) -> list[np.ndarray]:
-    """Flatten a per-layer gradient list to match mlp_param_arrays order."""
-    out = []
-    for g in grads:
-        out.append(g["w"])
-        out.append(g["b"])
-        if "scale" in g:
-            out.append(g["scale"])
-            out.append(g["shift"])
-    return out
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray, mode: str = "train"):
@@ -270,12 +304,18 @@ def mlp_forward(params: MlpParams, x: np.ndarray, mode: str = "train"):
                "shapes": tuple(lay.w.shape for lay in params.layers)}
 
 
-def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray):
-    """Backpropagate grad_output; returns (per-layer grads, grad wrt input).
+def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray,
+                 out: np.ndarray | None = None, add: bool = False):
+    """Backpropagate grad_output; returns (parameter gradients, gradient
+    wrt the input).
 
-    The cache must come from a forward pass through the same network; a
-    backward pass can be replayed any number of times with different output
-    gradients (the cache is never consumed).
+    The parameter gradients are views, in mlp_param_arrays order, of out (a
+    flat vector laid out like the net's trainable arrays, such as a slice
+    of an optimizer's gradient vector) or of a new vector. They overwrite
+    what out holds, or with add=True are added to it. The cache must come
+    from a forward pass through the same network; a backward pass can be
+    replayed any number of times with different output gradients (the
+    cache is never consumed).
     """
     shapes = tuple(lay.w.shape for lay in params.layers)
     if cache.get("shapes") != shapes:
@@ -287,20 +327,27 @@ def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray):
         raise ShapeError(
             f"grad_output shape {grad.shape} != forward output "
             f"{layer_caches[-1]['out'].shape}")
-    grads = [None] * len(params.layers)
+    size = sum(lay.w.size + lay.b.size * (1 if lay.batchnorm is None else 3)
+               for lay in params.layers)
+    out = flat_vector(out, size)
+    views = []
+    end = size  # the layers' gradients are cut from the back of out
     for idx in range(len(params.layers) - 1, -1, -1):
         lay = params.layers[idx]
         lc = layer_caches[idx]
+        d_in, d_out = lay.w.shape
         if lay.activation == "relu":
             grad = grad * (lc["pre"] > 0.0)
         elif lay.activation == "tanh":
             grad = grad * (1.0 - lc["out"] ** 2)
-        g = {}
         if lay.batchnorm is not None:
             bn = lay.batchnorm
             xhat, inv_std = lc["bn"]
-            g["scale"] = (grad * xhat).sum(axis=0)
-            g["shift"] = grad.sum(axis=0)
+            g_scale, g_shift = out[end - 2 * d_out:end - d_out], out[end - d_out:end]
+            end -= 2 * d_out
+            _into(g_scale, add, np.add.reduce, grad * xhat, axis=0)
+            _into(g_shift, add, np.add.reduce, grad, axis=0)
+            views[:0] = [g_scale, g_shift]
             dxhat = grad * bn.scale
             if mode == "train":
                 n = grad.shape[0]
@@ -308,11 +355,22 @@ def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray):
                     n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
             else:
                 grad = dxhat * inv_std
-        g["w"] = lc["x"].T @ grad
-        g["b"] = grad.sum(axis=0)
-        grads[idx] = g
+        g_w = out[end - d_out - d_in * d_out:end - d_out].reshape(d_in, d_out)
+        g_b = out[end - d_out:end]
+        end -= d_out + d_in * d_out
+        _into(g_w, add, np.matmul, lc["x"].T, grad)
+        _into(g_b, add, np.add.reduce, grad, axis=0)
+        views[:0] = [g_w, g_b]
         grad = grad @ lay.w.T
-    return grads, grad
+    return views, grad
+
+
+def _into(dst: np.ndarray, add: bool, fn, *args, **kwargs) -> None:
+    """dst = fn(*args), computed straight into dst, or dst += fn(*args)."""
+    if add:
+        dst += fn(*args, **kwargs)
+    else:
+        fn(*args, out=dst, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -321,52 +379,82 @@ def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray):
 
 @dataclass
 class AdamState:
-    """Adam moments for a fixed list of parameter arrays."""
+    """Adam over one flat parameter vector.
+
+    params is the vector the update moves (the nets hold views into it),
+    grads a vector of the same layout that the caller fills before each
+    step, m and v the moments, and scratch two more rows of that length for
+    the update's intermediates, so a step allocates nothing of that size.
+    """
 
     lr: float
+    params: np.ndarray
+    grads: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
 
-def adam_init(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+def adam_init(params: np.ndarray, lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> AdamState:
+    """Adam state for the flat float64 vector params (kept, not copied)."""
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("beta1/beta2 must be in [0, 1)")
     if lr <= 0:
         raise ValueError("lr must be positive")
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
-                     m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+    if params.ndim != 1 or params.dtype != np.float64 or not params.flags.c_contiguous:
+        raise ShapeError("adam_init: params must be a contiguous float64 vector")
+    n = params.size
+    return AdamState(lr=lr, params=params, grads=np.zeros(n), m=np.zeros(n),
+                     v=np.zeros(n), scratch=np.zeros((2, n)), beta1=beta1,
+                     beta2=beta2, eps=eps)
 
 
 def adam_step(state: AdamState, params, grads):
-    """One Adam update, in place; returns (params, state).
+    """One fused Adam update of the whole vector, in place; returns
+    (params, state).
 
+    params and grads are sequences holding one flat vector each, of the
+    state's length; the trainer passes (state.params,) and (state.grads,).
     Standard bias-corrected recurrence: m and v are exponential averages of
     the gradient and its square, and the step is lr * mhat / (sqrt(vhat)+eps).
+    Every intermediate goes through the scratch rows; overflow is left to
+    the one finite check, which raises NumericsError.
     """
-    if len(params) != len(state.m) or len(params) != len(grads):
-        raise ShapeError("adam_step: parameter/gradient/state lengths differ")
+    if len(params) != 1 or len(grads) != 1:
+        raise ShapeError("adam_step: pass one parameter vector and one gradient vector")
+    (p,), (g,) = params, grads
+    if p.shape != state.m.shape or g.shape != state.m.shape:
+        raise ShapeError(f"adam_step: shapes {p.shape} and {g.shape} do not match "
+                         f"the state's {state.m.shape}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeError(
-                f"adam_step: shape mismatch {p.shape} vs grad {g.shape}")
-        # in place, with the rounding of m = b1 m + (1 - b1) g and so on
+    m, v, (w1, w2) = state.m, state.v, state.scratch
+    # the rounding of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    # p -= lr (m / c1) / (sqrt(v / c2) + eps), each step written through out=
+    with np.errstate(over="ignore", invalid="ignore"):
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=w1)
+        m += w1
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        if not np.isfinite(p).all():
-            raise NumericsError("adam_step produced non-finite parameters")
+        np.multiply(g, 1.0 - b2, out=w1)
+        w1 *= g
+        v += w1
+        np.divide(m, c1, out=w1)
+        w1 *= state.lr
+        np.divide(v, c2, out=w2)
+        np.sqrt(w2, out=w2)
+        w2 += state.eps
+        w1 /= w2
+        p -= w1
+    if not np.isfinite(p).all():
+        raise NumericsError("adam_step produced non-finite parameters")
     return params, state
 
 

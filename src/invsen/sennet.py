@@ -64,11 +64,15 @@ class SEModel:
 def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
                   beta0: float = DEFAULT_BETA0, alpha: float = 1.0,
                   alpha_learnable: bool = False, swap_roles: bool = False,
-                  rng: np.random.Generator | None = None) -> SEModel:
+                  rng: np.random.Generator | None = None,
+                  out: np.ndarray | None = None) -> SEModel:
     """Fresh model: hidden layers are ReLU, the embedding layer is tanh.
 
     The tanh output bounds every embedding coordinate, which keeps the
     inner products u.v in a range where the soft threshold stays active.
+    The se_parameter_arrays are consecutive views of out (a flat vector
+    of the right length, such as an optimizer's parameter vector) or of a
+    new vector.
     """
     if rng is None:
         rng = numkit.make_rng(0, "se-model")
@@ -76,10 +80,17 @@ def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
         raise ValueError("alpha must be positive")
     dims = [in_dim, *hidden, embed_dim]
     acts = ["relu"] * len(hidden) + ["tanh"]
-    key_net = numkit.init_mlp(dims, acts, batchnorm=False, rng=rng)
-    query_net = numkit.init_mlp(dims, acts, batchnorm=False, rng=rng)
+    n_net = numkit.flat_size(numkit.mlp_shapes(dims, False))
+    out = numkit.flat_vector(out, 2 * n_net + 1 + int(alpha_learnable))
+    key_net = numkit.init_mlp(dims, acts, batchnorm=False, rng=rng, out=out[:n_net])
+    query_net = numkit.init_mlp(dims, acts, batchnorm=False, rng=rng,
+                                out=out[n_net:2 * n_net])
+    beta_raw = out[2 * n_net:2 * n_net + 1].reshape(())
+    beta_raw[...] = softplus_inv(beta0)
+    alpha_arr = out[2 * n_net + 1:].reshape(()) if alpha_learnable else np.empty(())
+    alpha_arr[...] = float(alpha)
     return SEModel(key_net=key_net, query_net=query_net, embed_dim=embed_dim,
-                   beta_raw=np.array(softplus_inv(beta0)), alpha=np.array(float(alpha)),
+                   beta_raw=beta_raw, alpha=alpha_arr,
                    alpha_learnable=alpha_learnable, swap_roles=swap_roles)
 
 
@@ -116,7 +127,9 @@ def coefficients(model: SEModel, x_queries: np.ndarray, x_keys: np.ndarray,
     masked to exactly zero.
 
     The cache carries everything needed for the loss gradients; eval-time
-    callers can ignore it.
+    callers can ignore it. The soft threshold is built in place: besides
+    boolean masks, at most three float arrays of the block's size are alive
+    at a time (s with |s| - beta and thr, then s with thr and block).
     """
     x_queries = np.asarray(x_queries, dtype=float)
     x_keys = np.asarray(x_keys, dtype=float)
@@ -143,10 +156,16 @@ def coefficients(model: SEModel, x_queries: np.ndarray, x_keys: np.ndarray,
     s = contrib_out @ target_out.T  # s[i, j] = v_i . u_j
     beta = model.beta
     alpha = float(model.alpha)
-    live = np.abs(s) > beta
+    # thr = where(live, sign(s) * (|s| - beta), 0.0), built in two arrays
+    mag = np.abs(s)
+    live = mag > beta
     if mask_self:
         np.fill_diagonal(live, False)
-    thr = np.where(live, np.sign(s) * (np.abs(s) - beta), 0.0)
+    mag -= beta
+    thr = np.sign(s)
+    thr *= mag
+    del mag
+    np.copyto(thr, 0.0, where=~live)
     block = alpha * thr
     if model.swap_roles:
         key_out, key_cache = contrib_out, contrib_cache
@@ -279,19 +298,11 @@ def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
 
 
 def se_parameter_arrays(model: SEModel) -> list[np.ndarray]:
-    """Arrays updated by the main optimizer, in a fixed order."""
+    """Arrays updated by the main optimizer, in a fixed order: key net, query
+    net, beta_raw, then alpha if learnable. From init_se_model they lie end
+    to end in one vector, in this order."""
     arrays = numkit.mlp_param_arrays(model.key_net) + numkit.mlp_param_arrays(model.query_net)
     arrays.append(model.beta_raw)
     if model.alpha_learnable:
         arrays.append(model.alpha)
-    return arrays
-
-
-def se_gradient_arrays(model: SEModel, grad_key, grad_query,
-                       grad_beta_raw: float, grad_alpha: float) -> list[np.ndarray]:
-    """Gradient list matching se_parameter_arrays."""
-    arrays = numkit.mlp_grad_arrays(grad_key) + numkit.mlp_grad_arrays(grad_query)
-    arrays.append(np.array(grad_beta_raw))
-    if model.alpha_learnable:
-        arrays.append(np.array(grad_alpha))
     return arrays

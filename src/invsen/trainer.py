@@ -27,9 +27,17 @@ Heads are updated first, then the feature nets, both from the same forward
 passes. With lam = 0 the feature updates are bit-for-bit those of a plain
 self-expressive network; the heads keep training on the side.
 
+Each optimizer owns one flat vector each for the parameters, the
+gradients and the two Adam moments. init_state builds the nets as views of
+the parameter vectors; a step writes every parameter gradient straight
+into the gradient vectors (the counterfactual pass adds to them) and runs
+one fused update per optimizer.
+
 A checkpoint stores the config and the input width, from which
 init_state rebuilds the state, and the arrays in _state_arrays order,
-which is the only place their layout is written.
+which is the only place their layout is written. _layout sizes that
+layout from the config alone, so a checkpoint is checked against its
+payload length before anything is allocated.
 """
 
 from __future__ import annotations
@@ -64,9 +72,10 @@ from .numkit import (
     adam_step,
     make_rng,
     mlp_backward,
+    mlp_param_arrays,
     normalize_rows,
 )
-from .sennet import SEModel, init_se_model, se_gradient_arrays, se_loss, se_parameter_arrays
+from .sennet import SEModel, init_se_model, se_loss, se_parameter_arrays
 
 CHECKPOINT_MAGIC = b"INVSEN01"
 CHECKPOINT_VERSION = 2
@@ -123,23 +132,55 @@ class TrainState:
 
 
 def init_state(config: TrainConfig, in_dim: int) -> TrainState:
-    """Fresh model, heads, and optimizers. RNG consumption is fixed (key
-    net, query net, head g, head g') so trajectories only depend on the
-    seed, never on which loss terms are active."""
+    """Fresh model, heads, and optimizers; the nets are built as views of
+    the optimizers' parameter vectors. RNG consumption is fixed (key net,
+    query net, head g, head g') so trajectories only depend on the seed,
+    never on which loss terms are active."""
+    n_main, n_bias, _ = _layout(config, in_dim)
+    opt_main = adam_init(np.empty(n_main), config.lr_main)
+    opt_bias = adam_init(np.empty(n_bias), config.lr_bias)
     rng = make_rng(config.seed, "init")
     model = init_se_model(
         in_dim, hidden=config.hidden, embed_dim=config.embed_dim,
         beta0=config.beta0, alpha=config.alpha,
         alpha_learnable=config.alpha_learnable, swap_roles=config.swap_roles,
-        rng=rng)
+        rng=rng, out=opt_main.params)
     heads = init_bias_heads(config.embed_dim, hidden=config.bias_hidden,
                             n_bias_classes=config.n_bias_classes,
-                            batchnorm=config.bias_batchnorm, rng=rng)
-    opt_main = adam_init(se_parameter_arrays(model), config.lr_main)
-    opt_bias = adam_init(head_parameter_arrays(heads), config.lr_bias)
+                            batchnorm=config.bias_batchnorm, rng=rng,
+                            out=opt_bias.params)
     return TrainState(config=config, model=model, heads=heads,
                       opt_main=opt_main, opt_bias=opt_bias, epoch=0,
                       history=[])
+
+
+def _layout(config: TrainConfig, in_dim: int):
+    """(n_main, n_bias, n_payload): the values in the two parameter vectors
+    of init_state(config, in_dim) and in its _state_arrays. Integer
+    arithmetic over the config; nothing is allocated."""
+    net = numkit.flat_size(numkit.mlp_shapes(
+        [in_dim, *config.hidden, config.embed_dim], False))
+    head_bn = [config.bias_batchnorm] * len(config.bias_hidden) + [False]
+    head = numkit.flat_size(numkit.mlp_shapes(
+        [config.embed_dim, *config.bias_hidden, config.n_bias_classes], head_bn))
+    n_main = 2 * net + 1 + int(config.alpha_learnable)
+    n_bias = 2 * head
+    # batchnorm running mean and variance of both heads; alpha when fixed
+    n_extra = 4 * sum(config.bias_hidden) if config.bias_batchnorm else 0
+    n_extra += 0 if config.alpha_learnable else 1
+    return n_main, n_bias, 3 * (n_main + n_bias) + n_extra
+
+
+def _segments(vec: np.ndarray, *nets):
+    """Consecutive slices of vec: one per net, as long as its trainable
+    arrays, then the rest."""
+    out, start = [], 0
+    for net in nets:
+        end = start + sum(a.size for a in mlp_param_arrays(net))
+        out.append(vec[start:end])
+        start = end
+    out.append(vec[start:])
+    return out
 
 
 def train_step(state: TrainState, batch: np.ndarray, bias_labels,
@@ -171,9 +212,10 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
     l_ce_key = l_ce_query = l_conf_key = l_conf_query = float("nan")
     l_inv = None
     acc = float("nan")
-    head_grads = None
     g_key_out, g_query_out = se.grad_key_out, se.grad_query_out
-    cf_grads = None
+    g_key, g_query, g_scalars = _segments(state.opt_main.grads,
+                                          model.key_net, model.query_net)
+    cf = None
     if bias_labels is not None:
         b = np.asarray(bias_labels)
         if b.shape[0] != x.shape[0]:
@@ -186,18 +228,21 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
         l_conf_query = entropy_confusion_loss(p_query)
         acc = 0.5 * (head_accuracy(p_key, b) + head_accuracy(p_query, b))
 
-        # All gradients are taken before any parameter moves.
-        g_grads, ce_into_u = mlp_backward(heads.g, cache_g,
-                                          cross_entropy_grad_logits(p_key, b))
-        gp_grads, ce_into_v = mlp_backward(heads.g_prime, cache_gp,
-                                           cross_entropy_grad_logits(p_query, b))
-        head_grads = (numkit.mlp_grad_arrays(g_grads)
-                      + numkit.mlp_grad_arrays(gp_grads))
+        # All gradients are taken before any parameter moves. The confusion
+        # passes go first: only their input gradients are used, and the
+        # parameter gradients they leave in the heads' gradient vector are
+        # overwritten by the cross-entropy passes.
+        g_g, g_gp, _ = _segments(state.opt_bias.grads, heads.g, heads.g_prime)
         if w.lam > 0:
             _, conf_into_u = mlp_backward(heads.g, cache_g,
-                                          entropy_confusion_grad_logits(p_key))
+                                          entropy_confusion_grad_logits(p_key), g_g)
             _, conf_into_v = mlp_backward(heads.g_prime, cache_gp,
-                                          entropy_confusion_grad_logits(p_query))
+                                          entropy_confusion_grad_logits(p_query), g_gp)
+        _, ce_into_u = mlp_backward(heads.g, cache_g,
+                                    cross_entropy_grad_logits(p_key, b), g_g)
+        _, ce_into_v = mlp_backward(heads.g_prime, cache_gp,
+                                    cross_entropy_grad_logits(p_query, b), g_gp)
+        if w.lam > 0:
             l_inv, (u_cf, cache_u_cf), (v_cf, cache_v_cf) = counterfactual_invariance(
                 model, x, b, se.key_out, se.query_out, heads.n_bias_classes)
             inv_u, inv_u_cf = invariance_grads(se.key_out, u_cf)
@@ -207,16 +252,18 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
                          - w.lam * w.mu * ce_into_u + w.lam * inv_u)
             g_query_out = (g_query_out + w.lam * conf_into_v
                            - w.lam * w.mu * ce_into_v + w.lam * inv_v)
-            cf_grads = (mlp_backward(model.key_net, cache_u_cf, w.lam * inv_u_cf)[0],
-                        mlp_backward(model.query_net, cache_v_cf, w.lam * inv_v_cf)[0])
+            cf = ((cache_u_cf, w.lam * inv_u_cf), (cache_v_cf, w.lam * inv_v_cf))
 
     # one backward pass per net on the combined embedding gradient, plus the
-    # counterfactual pass when lam > 0
-    grad_key = mlp_backward(model.key_net, se.key_cache, g_key_out)[0]
-    grad_query = mlp_backward(model.query_net, se.query_cache, g_query_out)[0]
-    if cf_grads is not None:
-        grad_key = _add_grads(grad_key, cf_grads[0])
-        grad_query = _add_grads(grad_query, cf_grads[1])
+    # counterfactual pass added on top when lam > 0
+    mlp_backward(model.key_net, se.key_cache, g_key_out, g_key)
+    mlp_backward(model.query_net, se.query_cache, g_query_out, g_query)
+    if cf is not None:
+        mlp_backward(model.key_net, *cf[0], g_key, add=True)
+        mlp_backward(model.query_net, *cf[1], g_query, add=True)
+    g_scalars[0] = se.grad_beta_raw
+    if model.alpha_learnable:
+        g_scalars[1] = se.grad_alpha
 
     total_report = se.loss
     if bias_labels is not None:
@@ -239,17 +286,10 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
             f"loss diverged (total_report={total_report!r})", report=report)
 
     # heads first, then the feature nets, all from the same forward caches
-    if head_grads is not None:
-        adam_step(state.opt_bias, head_parameter_arrays(heads), head_grads)
-    adam_step(state.opt_main, se_parameter_arrays(model),
-              se_gradient_arrays(model, grad_key, grad_query,
-                                 se.grad_beta_raw, se.grad_alpha))
+    if bias_labels is not None:
+        adam_step(state.opt_bias, (state.opt_bias.params,), (state.opt_bias.grads,))
+    adam_step(state.opt_main, (state.opt_main.params,), (state.opt_main.grads,))
     return state, report
-
-
-def _add_grads(a, b):
-    """Sum of two per-layer gradient lists of the same network."""
-    return [{k: ga[k] + gb[k] for k in ga} for ga, gb in zip(a, b)]
 
 
 def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
@@ -361,8 +401,13 @@ def _state_arrays(state: TrainState):
     named.append(("model.alpha", state.model.alpha))
     named += _net_arrays("heads.g", state.heads.g)
     named += _net_arrays("heads.g_prime", state.heads.g_prime)
-    for tag, opt in (("opt_main", state.opt_main), ("opt_bias", state.opt_bias)):
-        for i, (m, v) in enumerate(zip(opt.m, opt.v)):
+    for tag, opt, arrays in (
+            ("opt_main", state.opt_main, se_parameter_arrays(state.model)),
+            ("opt_bias", state.opt_bias, head_parameter_arrays(state.heads))):
+        # the moments, cut into views shaped like the arrays they follow
+        shapes = [a.shape for a in arrays]
+        for i, (m, v) in enumerate(zip(numkit.flat_views(opt.m, shapes),
+                                       numkit.flat_views(opt.v, shapes))):
             named.append((f"{tag}.m.{i}", m))
             named.append((f"{tag}.v.{i}", v))
     return named
@@ -409,19 +454,30 @@ def load_checkpoint(path: str) -> TrainState:
         return _restore_state(manifest, raw, 16 + blob_len, path)
     except CheckpointError:
         raise
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise CheckpointError(f"{path}: corrupt manifest ({exc!r})") from exc
 
 
 def _restore_state(manifest: dict, raw: bytes, offset: int, path: str) -> TrainState:
-    """Rebuild the state from its config, then fill its arrays in place."""
+    """Check the payload length against the layout the config builds, then
+    rebuild the state from its config and fill its arrays in place."""
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {manifest.get('version')!r}")
     cfg_dict = dict(manifest["config"])
     cfg_dict["weights"] = LossWeights(**cfg_dict["weights"])
     cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
     cfg_dict["bias_hidden"] = tuple(cfg_dict["bias_hidden"])
-    state = init_state(TrainConfig(**cfg_dict), manifest["in_dim"])
+    config = TrainConfig(**cfg_dict)
+    in_dim = manifest["in_dim"]
+    count = _layout(config, in_dim)[2]
+    have = len(raw) - offset
+    if not count > 0 or 8 * count != have:
+        kind = "truncated array payload" if 8 * count > have else "trailing bytes"
+        raise CheckpointError(
+            f"{path}: {kind}: the layout its config builds holds {count} values, "
+            f"the payload {have} bytes")
+    state = init_state(config, in_dim)
 
     named = _state_arrays(state)
     index = [(entry["name"], tuple(entry["shape"])) for entry in manifest["arrays"]]
@@ -430,13 +486,8 @@ def _restore_state(manifest: dict, raw: bytes, offset: int, path: str) -> TrainS
         raise CheckpointError(
             f"{path}: the array index does not match the layout its config builds")
     for _, arr in named:
-        end = offset + 8 * arr.size
-        if end > len(raw):
-            raise CheckpointError(f"{path}: truncated array payload")
-        arr[...] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(arr.shape)
-        offset = end
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: trailing bytes after array payload")
+        arr[...] = np.frombuffer(raw, "<f8", arr.size, offset).reshape(arr.shape)
+        offset += 8 * arr.size
     state.opt_main.t = manifest["t"]["opt_main"]
     state.opt_bias.t = manifest["t"]["opt_bias"]
     state.epoch = manifest["epoch"]

@@ -67,6 +67,20 @@ def ref_adam_trajectory(p0, grad_fn, steps, lr, beta1=0.9, beta2=0.999, eps=1e-8
     return out
 
 
+def ref_adam_arrays_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update per array, in place, as numpy expressions: the form
+    the library used before its moments went flat, kept as the bit-exact
+    reference of the fused update."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for p, g, mm, vv in zip(params, grads, m, v):
+        mm *= beta1
+        mm += (1.0 - beta1) * g
+        vv *= beta2
+        vv += (1.0 - beta2) * g * g
+        p -= lr * (mm / c1) / (np.sqrt(vv / c2) + eps)
+
+
 # ---------------------------------------------------------------------------
 # dense symmetric eigensolver: cyclic Jacobi rotations
 # ---------------------------------------------------------------------------

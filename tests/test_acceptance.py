@@ -50,7 +50,7 @@ from invsen.debias import (
 )
 from invsen.evalmetrics import accuracy, ari, discrete_mi, nmi, subspace_preserving_rate
 from invsen.numkit import finite_diff_check, make_rng, mlp_backward, mlp_forward, normalize_rows
-from invsen.sennet import coefficient_matrix, init_se_model, se_gradient_arrays, se_loss, se_parameter_arrays
+from invsen.sennet import coefficient_matrix, init_se_model, se_loss, se_parameter_arrays
 from invsen.trainer import TrainConfig, fit, load_checkpoint, save_checkpoint
 
 from oracles import (
@@ -60,6 +60,8 @@ from oracles import (
     labels_from_table,
     nmi_direct,
 )
+
+pytestmark = pytest.mark.acceptance
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -104,7 +106,7 @@ class TestCriterion1:
                 numkit.set_param_arrays(clone, [a.copy() for a in arrays[:-1]])
                 out, cache = mlp_forward(clone, arrays[-1], "train")
                 grads, gin = mlp_backward(clone, cache, out)
-                return 0.5 * float((out ** 2).sum()), numkit.mlp_grad_arrays(grads) + [gin]
+                return 0.5 * float((out ** 2).sum()), grads + [gin]
 
             params = numkit.mlp_param_arrays(net) + [x.copy()]
             reports[name] = finite_diff_check(loss_and_grad, params,
@@ -112,6 +114,12 @@ class TestCriterion1:
 
         # se_loss w.r.t. key net, query net, beta (reparameterized), alpha
         xb = make_rng(3, "c1").standard_normal((6, 5))
+
+        def se_param_grads(m, res):
+            # key net, query net, beta, alpha: se_parameter_arrays order
+            return (mlp_backward(m.key_net, res.key_cache, res.grad_key_out)[0]
+                    + mlp_backward(m.query_net, res.query_cache, res.grad_query_out)[0]
+                    + [np.array(res.grad_beta_raw), np.array(res.grad_alpha)])
 
         def se_lg(arrays):
             m = init_se_model(5, hidden=(8, 6), embed_dim=4,
@@ -122,10 +130,7 @@ class TestCriterion1:
             m.beta_raw = np.asarray(arrays[2 * nk]).reshape(()).copy()
             m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, xb, gamma=10.0, delta=0.9)
-            return res.loss, se_gradient_arrays(
-                m, mlp_backward(m.key_net, res.key_cache, res.grad_key_out)[0],
-                mlp_backward(m.query_net, res.query_cache, res.grad_query_out)[0],
-                res.grad_beta_raw, res.grad_alpha)
+            return res.loss, se_param_grads(m, res)
 
         model0 = init_se_model(5, hidden=(8, 6), embed_dim=4,
                                alpha_learnable=True, rng=make_rng(4, "c1"))
@@ -145,10 +150,7 @@ class TestCriterion1:
             m.beta_raw = np.asarray(arrays[2 * nk]).reshape(()).copy()
             m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, xb, gamma=10.0, delta=0.9, shift=shift, shift_weight=0.7)
-            return res.loss + 0.7 * res.l_align, se_gradient_arrays(
-                m, mlp_backward(m.key_net, res.key_cache, res.grad_key_out)[0],
-                mlp_backward(m.query_net, res.query_cache, res.grad_query_out)[0],
-                res.grad_beta_raw, res.grad_alpha)
+            return res.loss + 0.7 * res.l_align, se_param_grads(m, res)
 
         reports["se_loss-aligned"] = finite_diff_check(
             se_aligned_lg, se_parameter_arrays(model0), tolerance=tol, max_coords=None)
@@ -175,7 +177,7 @@ class TestCriterion1:
                     gz = entropy_confusion_grad_logits(probs)
                 grads, gin = mlp_backward(heads.g, cache, gz)
                 if through == "params":
-                    return loss, numkit.mlp_grad_arrays(grads)
+                    return loss, grads
                 return loss, [gin]
             return lg
 
@@ -210,9 +212,7 @@ class TestCriterion1:
             g, g_cf = invariance_grads(e, e_cf)
             grads, _ = mlp_backward(net, cache, g)
             grads_cf, _ = mlp_backward(net, cache_cf, g_cf)
-            return invariance_loss(e, e_cf), [
-                a + c for a, c in zip(numkit.mlp_grad_arrays(grads),
-                                      numkit.mlp_grad_arrays(grads_cf))]
+            return invariance_loss(e, e_cf), [a + c for a, c in zip(grads, grads_cf)]
 
         reports["inv-params"] = finite_diff_check(
             inv_params_lg, numkit.mlp_param_arrays(net0), tolerance=tol,

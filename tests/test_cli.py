@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -128,10 +129,13 @@ class TestTrain:
                 "--out", str(tmp_path))
         out = tmp_path / "div"
         capsys.readouterr()
-        code = run_cli("train", "--data", str(tmp_path / "data.csv"),
-                       "--epochs", "2", "--batch-size", "8", "--widths", "6",
-                       "--embed-dim", "4", "--bias-widths", "6",
-                       "--lr-main", "1e308", "--out", str(out))
+        with warnings.catch_warnings():
+            # the finite check reports the failure, not a numpy RuntimeWarning
+            warnings.simplefilter("error")
+            code = run_cli("train", "--data", str(tmp_path / "data.csv"),
+                           "--epochs", "2", "--batch-size", "8", "--widths", "6",
+                           "--embed-dim", "4", "--bias-widths", "6",
+                           "--lr-main", "1e308", "--out", str(out))
         assert code == 3
         dump = json.loads((out / "divergence.json").read_text())
         assert "non-finite" in dump["error"]
@@ -179,6 +183,16 @@ def _hidden_disagrees_with_arrays(manifest):
     manifest["config"]["hidden"] = [9, 6]
 
 
+def _in_dim_huge(manifest):
+    # would ask init_state for hundreds of TiB before any check
+    manifest["in_dim"] = 10 ** 13
+
+
+def _in_dim_negative(manifest):
+    # with the first width 8: sqrt(6 / -1) is nan, and rng.uniform overflows
+    manifest["in_dim"] = -9
+
+
 class TestEvaluate:
     def test_metrics_written(self, tmp_path, data_dir, trained_dir):
         out = tmp_path / "eval"
@@ -219,7 +233,8 @@ class TestEvaluate:
         assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("corrupt", [_drop_config, _unknown_config_key, _misnamed_array,
-                                         _version_1, _hidden_disagrees_with_arrays])
+                                         _version_1, _hidden_disagrees_with_arrays,
+                                         _in_dim_huge, _in_dim_negative])
     def test_malformed_checkpoint_manifest_exits_1(self, tmp_path, data_dir,
                                                     trained_dir, capsys, corrupt):
         raw = (trained_dir / "checkpoint.invsen").read_bytes()

@@ -226,6 +226,34 @@ class TestLanczosSolver:
             smallest_eigenvectors(normalized_laplacian(a), 2)
 
 
+class TestInPlaceForms:
+    """The in-place evaluation path gives the bits of the plain expressions."""
+
+    def test_affinity_is_abs_plus_abs_transpose(self):
+        model = init_se_model(5, hidden=(8,), embed_dim=6, alpha=1.3,
+                              rng=make_rng(30, "m"))
+        model.beta_raw[...] = -0.5  # beta ~ 0.47: live and dead pairs
+        x = make_rng(31, "x").standard_normal((300, 5))
+        c = coefficient_matrix(model, normalize_rows(x), mode="eval")
+        a = build_affinity(model, x)
+        assert 0.1 < np.count_nonzero(a) / a.size < 0.9
+        assert a.tobytes() == (np.abs(c) + np.abs(c.T)).tobytes()
+
+    @pytest.mark.parametrize("isolated", [False, True])
+    def test_laplacian_matches_plain_expression(self, trained_affinity, isolated):
+        a = trained_affinity[0].copy()
+        if isolated:
+            a[7, :] = a[:, 7] = 0.0
+        deg = a.sum(axis=1)
+        with np.errstate(divide="ignore"):
+            dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
+        expected = -(a * np.outer(dinv, dinv))
+        np.fill_diagonal(expected, 1.0 + np.diag(expected))
+        lap = normalized_laplacian(a)
+        assert lap.tobytes() == expected.tobytes()
+        assert max(lap.max(), -lap.min()) == np.abs(lap).max()
+
+
 class TestKmeans:
     def test_separated_groups(self):
         rng = make_rng(6, "km")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,13 @@ from invsen.numkit import (
     make_rng,
     mlp_backward,
     mlp_forward,
-    mlp_grad_arrays,
     mlp_param_arrays,
+    mlp_shapes,
     normalize_rows,
     set_param_arrays,
 )
 
-from oracles import ref_adam_trajectory, ref_mlp_forward
+from oracles import ref_adam_arrays_step, ref_adam_trajectory, ref_mlp_forward
 
 
 @pytest.fixture
@@ -35,7 +37,7 @@ def mse_loss_and_grad(template, x, mode="train"):
         out, cache = mlp_forward(net, x, mode)
         loss = 0.5 * float((out ** 2).sum())
         grads, _ = mlp_backward(net, cache, out)
-        return loss, mlp_grad_arrays(grads)
+        return loss, grads
     return fn
 
 
@@ -141,7 +143,7 @@ class TestMlpBackward:
         out, cache = mlp_forward(seeded_net, x)
         grads, gin = mlp_backward(seeded_net, cache, np.zeros_like(out))
         assert np.array_equal(gin, np.zeros_like(x))
-        for g in mlp_grad_arrays(grads):
+        for g in grads:
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_single_linear_layer_chain_rule(self):
@@ -151,8 +153,9 @@ class TestMlpBackward:
         g = make_rng(12, "g").standard_normal((5, 2))
         _, cache = mlp_forward(net, x)
         grads, gin = mlp_backward(net, cache, g)
-        assert np.allclose(grads[0]["w"], x.T @ g, atol=1e-14)
-        assert np.allclose(grads[0]["b"], g.sum(axis=0), atol=1e-14)
+        g_w, g_b = grads
+        assert np.allclose(g_w, x.T @ g, atol=1e-14)
+        assert np.allclose(g_b, g.sum(axis=0), atol=1e-14)
         assert np.allclose(gin, g @ net.layers[0].w.T, atol=1e-14)
 
     def test_finite_difference_every_layer_type(self):
@@ -176,9 +179,9 @@ class TestMlpBackward:
         x = np.tile(make_rng(21, "x").standard_normal(3), (5, 1))
         out, cache = mlp_forward(net, x, "train")
         g = make_rng(22, "g").standard_normal(out.shape)
-        grads, _ = mlp_backward(net, cache, g)
-        assert np.abs(grads[0]["scale"]).max() < 1e-12  # xhat is 0
-        assert np.allclose(grads[0]["shift"], g.sum(axis=0))
+        _, _, g_scale, g_shift = mlp_backward(net, cache, g)[0]
+        assert np.abs(g_scale).max() < 1e-12  # xhat is 0
+        assert np.allclose(g_shift, g.sum(axis=0))
 
     def test_stale_cache_rejected(self, seeded_net):
         x = make_rng(23, "x").standard_normal((4, 3))
@@ -191,50 +194,127 @@ class TestMlpBackward:
             mlp_backward(seeded_net, cache, np.zeros((4, 3)))
 
 
+class TestFlatLayout:
+    def test_init_mlp_lays_arrays_out_in_one_vector(self):
+        dims, bn = [3, 5, 2], [True, False]
+        vec = np.zeros(numkit.flat_size(mlp_shapes(dims, bn)))
+        net = init_mlp(dims, ["relu", "none"], bn, make_rng(4, "bn"), out=vec)
+        arrays = mlp_param_arrays(net)
+        assert [a.shape for a in arrays] == mlp_shapes(dims, bn)
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), vec)
+        assert all(np.shares_memory(a, vec) for a in arrays)
+        # the same draws as a net with a vector of its own
+        fresh = init_mlp(dims, ["relu", "none"], bn, make_rng(4, "bn"))
+        assert all(np.array_equal(a, c)
+                   for a, c in zip(arrays, mlp_param_arrays(fresh)))
+        with pytest.raises(ShapeError):
+            init_mlp(dims, ["relu", "none"], bn, make_rng(4, "bn"), out=vec[1:])
+
+    @pytest.mark.parametrize("bn", [False, [True, False]])
+    def test_backward_into_a_vector_same_bits(self, bn):
+        net = init_mlp([3, 5, 2], ["relu", "tanh"], bn, make_rng(25, "o"))
+        x = make_rng(26, "x").standard_normal((6, 3))
+        out, cache = mlp_forward(net, x)
+        g1 = make_rng(27, "g").standard_normal(out.shape)
+        g2 = make_rng(28, "g").standard_normal(out.shape)
+        fresh1, gin1 = mlp_backward(net, cache, g1)
+        fresh2, _ = mlp_backward(net, cache, g2)
+        vec = np.full(sum(a.size for a in fresh1), np.nan)
+        views, gin = mlp_backward(net, cache, g1, vec)
+        assert all(np.shares_memory(v, vec) for v in views)
+        assert np.array_equal(gin, gin1)
+        assert all(np.array_equal(v, f) for v, f in zip(views, fresh1))
+        # add=True: the first pass plus the second, as the sum of two fresh ones
+        mlp_backward(net, cache, g2, vec, add=True)
+        assert all(np.array_equal(v, a + c) for v, a, c in zip(views, fresh1, fresh2))
+        with pytest.raises(ShapeError):
+            mlp_backward(net, cache, g1, vec[1:])
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        p = [np.array([1.0, -2.0]), np.array(3.0)]
+        p = np.array([1.0, -2.0, 3.0])
         st = adam_init(p, lr=0.1)
-        adam_step(st, p, [np.zeros(2), np.array(0.0)])
-        assert np.array_equal(p[0], [1.0, -2.0]) and float(p[1]) == 3.0
+        adam_step(st, [p], [np.zeros(3)])
+        assert np.array_equal(p, [1.0, -2.0, 3.0])
         assert st.t == 1
 
     def test_first_step_is_signed_lr(self):
         # with eps << |g| the first update is about -lr * sign(g)
-        p = [np.array(0.5)]
+        p = np.array([0.5])
         st = adam_init(p, lr=1e-3)
-        adam_step(st, p, [np.array(7.3)])
+        adam_step(st, [p], [np.array([7.3])])
         assert abs(float(p[0]) - (0.5 - 1e-3)) < 1e-9
 
     def test_three_steps_match_hand_rolled_oracle(self):
         # frozen from the reference scalar Adam on loss 0.5*(p-3)^2,
         # p0 = 0, lr = 0.1
         expected = [0.09999999966666669, 0.19989729224944813, 0.2996184760421757]
-        p = [np.array(0.0)]
+        p = np.array([0.0])
         st = adam_init(p, lr=0.1)
         seen = []
         for _ in range(3):
-            adam_step(st, p, [np.array(float(p[0]) - 3.0)])
+            adam_step(st, [p], [p - 3.0])
             seen.append(float(p[0]))
         assert np.abs(np.array(seen) - np.array(expected)).max() < 1e-12
         ref = ref_adam_trajectory(0.0, lambda q: q - 3.0, 3, lr=0.1)
         assert np.abs(np.array(seen) - np.array(ref)).max() < 1e-12
 
     def test_shape_mismatch_raises(self):
-        p = [np.zeros(3)]
+        p = np.zeros(3)
         st = adam_init(p, lr=0.1)
         with pytest.raises(ShapeError):
-            adam_step(st, p, [np.zeros(4)])
+            adam_step(st, [p], [np.zeros(4)])
+        with pytest.raises(ShapeError):
+            adam_step(st, [p[:2]], [np.zeros(2)])
+        with pytest.raises(ShapeError):
+            adam_step(st, [p[:2], p[2:]], [np.zeros(2), np.zeros(1)])
+        with pytest.raises(ShapeError):
+            adam_init(np.zeros((2, 2)), lr=0.1)
 
     def test_determinism_bitwise(self):
         def run():
             rng = make_rng(33, "adam")
-            p = [rng.standard_normal((4, 3))]
+            p = rng.standard_normal(12)
             st = adam_init(p, lr=1e-2)
             for _ in range(50):
-                adam_step(st, p, [p[0] * 0.3 - 1.0])
-            return p[0].copy()
+                adam_step(st, [p], [p * 0.3 - 1.0])
+            return p.copy()
         assert np.array_equal(run(), run())
+
+    def test_fused_update_matches_per_array_reference(self):
+        # one update over the flat vector against the per-array update on
+        # copies of each array and its moments, bit for bit over 50 steps;
+        # some steps have all-zero or tiny (down to subnormal) gradients
+        shapes = [(4, 3), (3,), (), (5,)]
+        rng = make_rng(34, "adam")
+        p = rng.standard_normal(numkit.flat_size(shapes))
+        st = adam_init(p, lr=3e-2)
+        ref_p = [a.copy() for a in numkit.flat_views(p, shapes)]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        for step in range(1, 51):
+            g = rng.standard_normal(p.size)
+            if step % 7 == 0:
+                g[:] = 0.0
+            elif step % 5 == 0:
+                g *= 1e-300
+                g[::3] = 5e-324
+            adam_step(st, [p], [g])
+            ref_adam_arrays_step(ref_p, numkit.flat_views(g, shapes), ref_m, ref_v,
+                                 step, lr=3e-2)
+            assert np.array_equal(p, np.concatenate([a.ravel() for a in ref_p]))
+            assert np.array_equal(st.m, np.concatenate([a.ravel() for a in ref_m]))
+            assert np.array_equal(st.v, np.concatenate([a.ravel() for a in ref_v]))
+
+    def test_overflow_raises_without_a_warning(self):
+        p = np.ones(3)
+        st = adam_init(p, lr=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="non-finite"):
+                for _ in range(3):
+                    adam_step(st, [p], [np.full(3, -1.0)])
 
 
 class TestFiniteDiffCheck:

@@ -11,7 +11,6 @@ from invsen.sennet import (
     coefficients,
     elastic_net_reg,
     init_se_model,
-    se_gradient_arrays,
     se_loss,
     se_parameter_arrays,
     soft_threshold,
@@ -112,6 +111,34 @@ class TestCoefficients:
                 s = float(np.dot(u[j], v[i]))
                 expected[i, j] = alpha * np.sign(s) * max(0.0, abs(s) - beta)
         assert np.abs(c - expected).max() < 1e-10
+
+    @pytest.mark.parametrize("mask_self", [True, False])
+    def test_in_place_threshold_matches_where_expression(self, mask_self):
+        model = init_se_model(6, hidden=(8,), embed_dim=5, alpha=1.7,
+                              rng=make_rng(9, "m"))
+        model.beta_raw[...] = -3.0  # beta ~ 0.049: live and dead pairs
+        x = make_rng(10, "x").standard_normal((40, 6))
+        block, cache = coefficients(model, x, x.copy(), mask_self=mask_self)
+        s = cache["s"]
+        live = np.abs(s) > model.beta
+        if mask_self:
+            np.fill_diagonal(live, False)
+        thr = np.where(live, np.sign(s) * (np.abs(s) - model.beta), 0.0)
+        assert 0 < live.sum() < live.size - 40
+        assert np.array_equal(cache["live"], live)
+        assert thr.tobytes() == cache["thr"].tobytes()  # +0.0 in the dead zone
+        assert (1.7 * thr).tobytes() == block.tobytes()
+
+    def test_parameters_are_views_of_one_vector(self):
+        vec = np.empty(2 * (4 * 6 + 6 + 6 * 3 + 3) + 2)
+        m = init_se_model(4, hidden=(6,), embed_dim=3, alpha=1.3, alpha_learnable=True,
+                          rng=make_rng(11, "m"), out=vec)
+        arrays = se_parameter_arrays(m)
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), vec)
+        assert all(np.shares_memory(a, vec) for a in arrays)
+        assert m.beta == pytest.approx(sennet.DEFAULT_BETA0) and float(m.alpha) == 1.3
+        with pytest.raises(ShapeError):
+            init_se_model(4, hidden=(6,), embed_dim=3, rng=make_rng(11, "m"), out=vec)
 
     def test_zero_diagonal_always(self):
         model = init_se_model(4, hidden=(8,), embed_dim=6, rng=make_rng(7, "m"))
@@ -221,10 +248,10 @@ class TestSELoss:
             m.beta_raw = np.asarray(arrays[2 * nk]).reshape(()).copy()
             m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, x, gamma=10.0, delta=0.9)
-            return res.loss, se_gradient_arrays(
-                m, mlp_backward(m.key_net, res.key_cache, res.grad_key_out)[0],
-                mlp_backward(m.query_net, res.query_cache, res.grad_query_out)[0],
-                res.grad_beta_raw, res.grad_alpha)
+            return res.loss, (
+                mlp_backward(m.key_net, res.key_cache, res.grad_key_out)[0]
+                + mlp_backward(m.query_net, res.query_cache, res.grad_query_out)[0]
+                + [np.array(res.grad_beta_raw), np.array(res.grad_alpha)])
 
         m0 = init_se_model(5, hidden=(8, 6), embed_dim=4, alpha_learnable=True,
                            rng=make_rng(23, "m"))

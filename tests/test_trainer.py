@@ -1,8 +1,9 @@
-import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from invsen import numkit
 from invsen.datagen import DataGenConfig, Dataset, generate
@@ -22,10 +23,12 @@ from invsen.debias import (
 )
 from invsen.errors import CheckpointError, ConfigError, ShapeError, TrainingDiverged
 from invsen.numkit import DenseLayer, MlpParams, adam_init, adam_step, mlp_backward, mlp_forward, normalize_rows
-from invsen.sennet import SEModel, se_gradient_arrays, se_loss, se_parameter_arrays
+from invsen.sennet import se_loss, se_parameter_arrays
 from invsen.trainer import (
     TrainConfig,
     TrainState,
+    _layout,
+    _state_arrays,
     epoch_batches,
     fit,
     init_state,
@@ -53,34 +56,50 @@ def toy_dataset(n_per=20, k=2, d=10, r=2, seed=5, bias_strength=1.0, e=0.1):
 
 
 def clone_state(state: TrainState) -> TrainState:
-    model = SEModel(key_net=numkit.clone_mlp(state.model.key_net),
-                    query_net=numkit.clone_mlp(state.model.query_net),
-                    embed_dim=state.model.embed_dim,
-                    beta_raw=state.model.beta_raw.copy(),
-                    alpha=state.model.alpha.copy(),
-                    alpha_learnable=state.model.alpha_learnable,
-                    swap_roles=state.model.swap_roles)
-    heads = BiasHeads(g=numkit.clone_mlp(state.heads.g),
-                      g_prime=numkit.clone_mlp(state.heads.g_prime),
-                      n_bias_classes=state.heads.n_bias_classes)
-    def clone_opt(o):
-        out = copy.copy(o)
-        out.m = [m.copy() for m in o.m]
-        out.v = [v.copy() for v in o.v]
-        return out
-    return TrainState(config=state.config, model=model, heads=heads,
-                      opt_main=clone_opt(state.opt_main),
-                      opt_bias=clone_opt(state.opt_bias),
-                      epoch=state.epoch, history=list(state.history))
+    """A state built like the original (nets as views of the optimizers'
+    vectors) holding copies of every array."""
+    twin = init_state(state.config, state.model.in_dim)
+    for (_, a), (_, c) in zip(_state_arrays(state), _state_arrays(twin)):
+        c[...] = a
+    twin.opt_main.t, twin.opt_bias.t = state.opt_main.t, state.opt_bias.t
+    twin.epoch, twin.history = state.epoch, list(state.history)
+    return twin
+
+
+def flat(arrays):
+    return np.concatenate([np.ravel(a) for a in arrays])
 
 
 def se_param_grads(model, se):
-    """se_loss's gradients for every main-optimizer parameter: the embedding
-    gradients backpropagated through both nets, then beta and alpha."""
-    return se_gradient_arrays(
-        model, mlp_backward(model.key_net, se.key_cache, se.grad_key_out)[0],
-        mlp_backward(model.query_net, se.query_cache, se.grad_query_out)[0],
-        se.grad_beta_raw, se.grad_alpha)
+    """se_loss's gradients for every main-optimizer parameter, as one flat
+    vector: the embedding gradients backpropagated through both nets, then
+    beta and alpha."""
+    return flat(mlp_backward(model.key_net, se.key_cache, se.grad_key_out)[0]
+                + mlp_backward(model.query_net, se.query_cache, se.grad_query_out)[0]
+                + [se.grad_beta_raw] + ([se.grad_alpha] if model.alpha_learnable else []))
+
+
+def install_heads(state, g, g_prime):
+    """Give the state the heads g and g_prime, laid out in the parameter
+    vector of a fresh bias optimizer."""
+    arrays = numkit.mlp_param_arrays(g) + numkit.mlp_param_arrays(g_prime)
+    vec = flat(arrays)
+    views = numkit.flat_views(vec, [a.shape for a in arrays])
+    n_g = len(numkit.mlp_param_arrays(g))
+    numkit.set_param_arrays(g, views[:n_g])
+    numkit.set_param_arrays(g_prime, views[n_g:])
+    state.heads = BiasHeads(g=g, g_prime=g_prime)
+    state.opt_bias = adam_init(vec, state.config.lr_bias)
+
+
+def assert_flat(state):
+    """Every trainable array is a view of its own optimizer's vector."""
+    for arrays, own, other in (
+            (se_parameter_arrays(state.model), state.opt_main, state.opt_bias),
+            (head_parameter_arrays(state.heads), state.opt_bias, state.opt_main)):
+        assert all(np.shares_memory(a, own.params) for a in arrays)
+        assert not any(np.shares_memory(a, other.params) for a in arrays)
+        assert np.array_equal(flat(arrays), own.params)
 
 
 def read_manifest(path):
@@ -105,8 +124,7 @@ class TestTrainStep:
 
         # straight-line pure-SE step on the twin: ignore the heads entirely
         se = se_loss(twin.model, x, cfg.weights.gamma, cfg.weights.delta)
-        adam_step(twin.opt_main, se_parameter_arrays(twin.model),
-                  se_param_grads(twin.model, se))
+        adam_step(twin.opt_main, [twin.opt_main.params], [se_param_grads(twin.model, se)])
         assert params_equal(se_parameter_arrays(state.model),
                             se_parameter_arrays(twin.model))
         # the heads did move, on cross-entropy
@@ -152,13 +170,11 @@ class TestTrainStep:
                              se.grad_query_out + w.lam * conf_v - w.lam * w.mu * ce_v
                              + w.lam * inv_v)
         gq_cf, _ = mlp_backward(twin.model.query_net, cache_v_cf, w.lam * inv_v_cf)
-        gk = [{k: a[k] + c[k] for k in a} for a, c in zip(gk, gk_cf)]
-        gq = [{k: a[k] + c[k] for k in a} for a, c in zip(gq, gq_cf)]
-        adam_step(twin.opt_bias, head_parameter_arrays(twin.heads),
-                  numkit.mlp_grad_arrays(g_grads) + numkit.mlp_grad_arrays(gp_grads))
-        adam_step(twin.opt_main, se_parameter_arrays(twin.model),
-                  se_gradient_arrays(twin.model, gk, gq,
-                                     se.grad_beta_raw, se.grad_alpha))
+        gk = [a + c for a, c in zip(gk, gk_cf)]
+        gq = [a + c for a, c in zip(gq, gq_cf)]
+        adam_step(twin.opt_bias, [twin.opt_bias.params], [flat(g_grads + gp_grads)])
+        adam_step(twin.opt_main, [twin.opt_main.params],
+                  [flat(gk + gq + [se.grad_beta_raw])])
 
         assert params_equal(se_parameter_arrays(state.model),
                             se_parameter_arrays(twin.model))
@@ -213,8 +229,7 @@ class TestTrainStep:
         def zero_head():
             return MlpParams(layers=[DenseLayer(w=np.zeros((cfg.embed_dim, 2)),
                                                 b=np.zeros(2), activation="none")])
-        state.heads = BiasHeads(g=zero_head(), g_prime=zero_head())
-        state.opt_bias = adam_init(head_parameter_arrays(state.heads), cfg.lr_bias)
+        install_heads(state, zero_head(), zero_head())
         _, rep = train_step(state, x, ds.b[:8], w)
         for key in ("l_conf_key", "l_conf_query"):
             assert rep[key] == pytest.approx(-np.log(2.0), abs=1e-12)
@@ -252,9 +267,7 @@ class TestTrainStep:
                                      se.grad_key_out + lam * conf_u)
         reversed_only, _ = mlp_backward(model.key_net, se.key_cache,
                                         -lam * mu * ce_u)
-        for a, c, r in zip(numkit.mlp_grad_arrays(with_ce),
-                           numkit.mlp_grad_arrays(without_ce),
-                           numkit.mlp_grad_arrays(reversed_only)):
+        for a, c, r in zip(with_ce, without_ce, reversed_only):
             assert np.allclose(a - c, r, atol=1e-12)
 
     def test_bias_signal_survives_a_confident_head(self):
@@ -279,15 +292,14 @@ class TestTrainStep:
         head = MlpParams(layers=[DenseLayer(
             w=np.stack([np.zeros(u.shape[1]), scale * readout[:-1]], axis=1),
             b=np.array([0.0, scale * readout[-1]]), activation="none")])
-        state.heads = BiasHeads(g=head, g_prime=numkit.clone_mlp(head))
-        state.opt_bias = adam_init(head_parameter_arrays(state.heads), cfg.lr_bias)
-        p_key, _ = bias_posterior(state.heads.g, u)
+        p_key, _ = bias_posterior(head, u)
         assert p_key[np.arange(b.size), b].min() > 1.0 - 1e-12
 
         # With eps far above every |gradient|, Adam's first step is
         # -lr * g / eps, so the parameter change reads the gradient itself.
         def key_step(lam):
             twin = clone_state(state)
+            install_heads(twin, numkit.clone_mlp(head), numkit.clone_mlp(head))
             twin.opt_main.lr, twin.opt_main.eps = 1.0, 1e6
             before = [a.copy() for a in numkit.mlp_param_arrays(twin.model.key_net)]
             train_step(twin, x, b, LossWeights(gamma=20.0, delta=0.9, lam=lam, mu=1.0))
@@ -299,13 +311,28 @@ class TestTrainStep:
         ratio = np.linalg.norm(bias_pull) / np.linalg.norm(se_only)
         assert ratio > 0.05, ratio
 
-    def test_optimizer_isolation(self):
-        state = init_state(tiny_config(), 10)
-        feature_ids = {id(a) for a in se_parameter_arrays(state.model)}
-        head_ids = {id(a) for a in head_parameter_arrays(state.heads)}
-        assert feature_ids.isdisjoint(head_ids)
-        assert len(state.opt_main.m) == len(feature_ids)
-        assert len(state.opt_bias.m) == len(head_ids)
+    def test_optimizer_isolation(self, tmp_path):
+        # every trainable array stays a view of its own optimizer's vector:
+        # after init_state, after load_checkpoint and after training steps
+        # (a layer rebound to a copy would stop training silently)
+        ds = toy_dataset()
+        x = normalize_rows(ds.X)
+        for kw in (dict(), dict(alpha_learnable=True, swap_roles=True, bias_batchnorm=False,
+                                weights=LossWeights(gamma=20.0, delta=0.9, lam=1.0, mu=1.0))):
+            state = init_state(tiny_config(**kw), ds.X.shape[1])
+            assert_flat(state)
+            assert (state.opt_main.params.size == state.opt_main.grads.size
+                    == state.opt_main.m.size == state.opt_main.v.size)
+            for idx in epoch_batches(x.shape[0], 16, 11, 1):
+                train_step(state, x[idx], ds.b[idx])
+            assert state.opt_main.t == state.opt_bias.t == 3
+            assert_flat(state)
+            save_checkpoint(state, str(tmp_path / "ck"))
+            back = load_checkpoint(str(tmp_path / "ck"))
+            assert_flat(back)
+            for idx in epoch_batches(x.shape[0], 16, 11, 2):
+                train_step(back, x[idx], ds.b[idx])
+            assert_flat(back)
 
     def test_missing_bias_labels_with_lam(self):
         cfg = tiny_config(weights=LossWeights(gamma=20.0, delta=0.9, lam=1.0))
@@ -382,8 +409,8 @@ class TestFit:
             for idx in epoch_batches(x.shape[0], cfg.batch_size, cfg.seed, epoch):
                 se = se_loss(state.model, x[idx], cfg.weights.gamma,
                              cfg.weights.delta)
-                adam_step(state.opt_main, se_parameter_arrays(state.model),
-                          se_param_grads(state.model, se))
+                adam_step(state.opt_main, [state.opt_main.params],
+                          [se_param_grads(state.model, se)])
         assert params_equal(se_parameter_arrays(full.model),
                             se_parameter_arrays(state.model))
 
@@ -416,8 +443,8 @@ class TestCheckpoints:
                             se_parameter_arrays(back.model))
         assert params_equal(head_parameter_arrays(state.heads),
                             head_parameter_arrays(back.heads))
-        assert params_equal(state.opt_main.m + state.opt_main.v,
-                            back.opt_main.m + back.opt_main.v)
+        assert params_equal([state.opt_main.m, state.opt_main.v],
+                            [back.opt_main.m, back.opt_main.v])
         assert back.opt_main.t == state.opt_main.t
         assert back.history == state.history
         assert back.config == state.config
@@ -459,6 +486,18 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(bias_batchnorm=False, alpha_learnable=True, hidden=(7,), bias_hidden=()),
+        dict(n_bias_classes=3, embed_dim=2, bias_hidden=(5, 4, 3)),
+    ], ids=["default", "no-bn-alpha", "three-classes"])
+    def test_layout_counts_the_state_arrays(self, kw):
+        cfg = tiny_config(**kw)
+        state = init_state(cfg, 9)
+        n_main, n_bias, n_payload = _layout(cfg, 9)
+        assert (n_main, n_bias) == (state.opt_main.params.size, state.opt_bias.params.size)
+        assert n_payload == sum(a.size for _, a in _state_arrays(state))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.invsen"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -490,3 +529,36 @@ class TestCheckpoints:
         assert params_equal(head_parameter_arrays(full.heads),
                             head_parameter_arrays(resumed.heads))
         assert full.history == resumed.history
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    cfg = tiny_config(epochs=1, hidden=(4,), embed_dim=3, bias_hidden=(4,),
+                      weights=LossWeights(gamma=20.0, delta=0.9, lam=0.5, mu=1.0))
+    path = tmp_path_factory.mktemp("ck") / "tiny.invsen"
+    save_checkpoint(fit(cfg, toy_dataset(n_per=8)), str(path))
+    return path
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupt_checkpoint_bytes_give_a_state_or_checkpoint_error(tiny_checkpoint, data):
+    # truncated anywhere, or one byte of the header or manifest replaced:
+    # load_checkpoint returns a state or raises CheckpointError, nothing else
+    raw = tiny_checkpoint.read_bytes()
+    manifest_end = 16 + int.from_bytes(raw[8:16], "little")
+    if data.draw(st.booleans(), label="truncate"):
+        corrupt = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, manifest_end - 1), label="offset")
+        # any byte, or one that keeps the JSON valid more often
+        byte = data.draw(st.one_of(st.integers(0, 255), st.sampled_from(b"-0123456789. "))
+                         .filter(lambda v: v != raw[at]), label="byte")
+        corrupt = raw[:at] + bytes([byte]) + raw[at + 1:]
+    path = tiny_checkpoint.parent / "corrupt.invsen"
+    path.write_bytes(corrupt)
+    try:
+        assert isinstance(load_checkpoint(str(path)), TrainState)
+    except CheckpointError:
+        pass
