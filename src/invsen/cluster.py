@@ -45,31 +45,27 @@ class SpectralConfig:
 
 def affinity_from_coefficients(c: np.ndarray) -> np.ndarray:
     """A = |C| + |C^T| for a square, zero-diagonal coefficient matrix; A is
-    symmetric and non-negative by construction."""
+    symmetric and non-negative by construction. c is its own scratch: it is
+    overwritten with |C|, so the sum is the only new n x n array."""
     c = np.asarray(c, dtype=float)
-    _check_coefficients(c)
-    return np.abs(c) + np.abs(c.T)
-
-
-def _check_coefficients(c: np.ndarray) -> None:
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ShapeError(f"coefficient matrix must be square, got {c.shape}")
     if np.any(np.diag(c) != 0):
         raise NumericsError("coefficient matrix has a nonzero diagonal")
+    np.abs(c, out=c)
+    return c + c.T
 
 
 def build_affinity(model: SEModel, x: np.ndarray) -> np.ndarray:
     """Affinity A = |C| + |C^T| from eval-mode coefficients over the whole
     (unit-normalized) sample set. Symmetric, non-negative and zero-diagonal
-    by construction. C is its own scratch: |C| is taken in place, so the
-    sum is the only other n x n array."""
+    by construction."""
     x = normalize_rows(np.asarray(x, dtype=float))
     if x.shape[0] < 2:
         raise ShapeError("build_affinity needs at least two samples")
-    c, _ = coefficients(model, x, x, mode="eval")
-    _check_coefficients(c)
-    np.abs(c, out=c)
-    return c + c.T
+    # the cache is dropped at once, so the sum can reuse its memory
+    c = coefficients(model, x, x, mode="eval")[0]
+    return affinity_from_coefficients(c)
 
 
 def _check_affinity(a: np.ndarray) -> None:

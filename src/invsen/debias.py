@@ -102,11 +102,21 @@ def init_bias_heads(embed_dim: int, hidden=(64, 32, 16), n_bias_classes: int = 2
     dims = [embed_dim, *hidden, n_bias_classes]
     acts = ["relu"] * len(hidden) + ["none"]
     bn = [batchnorm] * len(hidden) + [False]
-    n_head = numkit.flat_size(numkit.mlp_shapes(dims, bn))
-    out = numkit.flat_vector(out, 2 * n_head)
-    g = numkit.init_mlp(dims, acts, batchnorm=bn, rng=rng, out=out[:n_head])
-    g_prime = numkit.init_mlp(dims, acts, batchnorm=bn, rng=rng, out=out[n_head:])
+    layout = head_vector_layout(embed_dim, hidden, n_bias_classes, batchnorm)
+    g_vec, g_prime_vec = numkit.flat_views(
+        numkit.flat_vector(out, numkit.flat_size(layout)), layout)
+    g = numkit.init_mlp(dims, acts, batchnorm=bn, rng=rng, out=g_vec)
+    g_prime = numkit.init_mlp(dims, acts, batchnorm=bn, rng=rng, out=g_prime_vec)
     return BiasHeads(g=g, g_prime=g_prime, n_bias_classes=n_bias_classes)
+
+
+def head_vector_layout(embed_dim: int, hidden, n_bias_classes: int,
+                       batchnorm: bool) -> list[tuple]:
+    """Shapes of the segments of the flat vector init_bias_heads builds the
+    heads in: head g, then head g'."""
+    bn = [batchnorm] * len(hidden) + [False]
+    n_head = numkit.flat_size(numkit.mlp_shapes([embed_dim, *hidden, n_bias_classes], bn))
+    return [(n_head,), (n_head,)]
 
 
 def bias_posterior(head: MlpParams, emb: np.ndarray, mode: str = "train"):

@@ -305,20 +305,23 @@ def mlp_forward(params: MlpParams, x: np.ndarray, mode: str = "train"):
 
 
 def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray,
-                 out: np.ndarray | None = None, add: bool = False):
+                 out: np.ndarray | None = None, add: bool = False,
+                 param_grads: bool = True):
     """Backpropagate grad_output; returns (parameter gradients, gradient
     wrt the input).
 
     The parameter gradients are views, in mlp_param_arrays order, of out (a
     flat vector laid out like the net's trainable arrays, such as a slice
     of an optimizer's gradient vector) or of a new vector. They overwrite
-    what out holds, or with add=True are added to it. The cache must come
-    from a forward pass through the same network; a backward pass can be
-    replayed any number of times with different output gradients (the
-    cache is never consumed).
+    what out holds, or with add=True are added to it. param_grads=False
+    computes only the input gradient and returns no parameter gradients
+    (an empty list).
+
+    The cache must come from a forward pass through the same network; a
+    backward pass can be replayed any number of times with different
+    output gradients (the cache is never consumed).
     """
-    shapes = tuple(lay.w.shape for lay in params.layers)
-    if cache.get("shapes") != shapes:
+    if cache.get("shapes") != tuple(lay.w.shape for lay in params.layers):
         raise ShapeError("cache does not match this network (stale cache?)")
     layer_caches = cache["layers"]
     mode = cache["mode"]
@@ -327,15 +330,12 @@ def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray,
         raise ShapeError(
             f"grad_output shape {grad.shape} != forward output "
             f"{layer_caches[-1]['out'].shape}")
-    size = sum(lay.w.size + lay.b.size * (1 if lay.batchnorm is None else 3)
-               for lay in params.layers)
-    out = flat_vector(out, size)
-    views = []
-    end = size  # the layers' gradients are cut from the back of out
+    shapes = [a.shape for a in mlp_param_arrays(params)]
+    views = flat_views(flat_vector(out, flat_size(shapes)), shapes) if param_grads else []
+    slots = reversed(views)  # filled last layer first
     for idx in range(len(params.layers) - 1, -1, -1):
         lay = params.layers[idx]
         lc = layer_caches[idx]
-        d_in, d_out = lay.w.shape
         if lay.activation == "relu":
             grad = grad * (lc["pre"] > 0.0)
         elif lay.activation == "tanh":
@@ -343,11 +343,10 @@ def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray,
         if lay.batchnorm is not None:
             bn = lay.batchnorm
             xhat, inv_std = lc["bn"]
-            g_scale, g_shift = out[end - 2 * d_out:end - d_out], out[end - d_out:end]
-            end -= 2 * d_out
-            _into(g_scale, add, np.add.reduce, grad * xhat, axis=0)
-            _into(g_shift, add, np.add.reduce, grad, axis=0)
-            views[:0] = [g_scale, g_shift]
+            if param_grads:
+                g_shift, g_scale = next(slots), next(slots)
+                _into(g_scale, add, np.add.reduce, grad * xhat, axis=0)
+                _into(g_shift, add, np.add.reduce, grad, axis=0)
             dxhat = grad * bn.scale
             if mode == "train":
                 n = grad.shape[0]
@@ -355,12 +354,10 @@ def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray,
                     n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
             else:
                 grad = dxhat * inv_std
-        g_w = out[end - d_out - d_in * d_out:end - d_out].reshape(d_in, d_out)
-        g_b = out[end - d_out:end]
-        end -= d_out + d_in * d_out
-        _into(g_w, add, np.matmul, lc["x"].T, grad)
-        _into(g_b, add, np.add.reduce, grad, axis=0)
-        views[:0] = [g_w, g_b]
+        if param_grads:
+            g_b, g_w = next(slots), next(slots)
+            _into(g_w, add, np.matmul, lc["x"].T, grad)
+            _into(g_b, add, np.add.reduce, grad, axis=0)
         grad = grad @ lay.w.T
     return views, grad
 

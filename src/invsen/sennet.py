@@ -80,18 +80,25 @@ def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
         raise ValueError("alpha must be positive")
     dims = [in_dim, *hidden, embed_dim]
     acts = ["relu"] * len(hidden) + ["tanh"]
-    n_net = numkit.flat_size(numkit.mlp_shapes(dims, False))
-    out = numkit.flat_vector(out, 2 * n_net + 1 + int(alpha_learnable))
-    key_net = numkit.init_mlp(dims, acts, batchnorm=False, rng=rng, out=out[:n_net])
-    query_net = numkit.init_mlp(dims, acts, batchnorm=False, rng=rng,
-                                out=out[n_net:2 * n_net])
-    beta_raw = out[2 * n_net:2 * n_net + 1].reshape(())
+    layout = se_vector_layout(in_dim, hidden, embed_dim, alpha_learnable)
+    key_vec, query_vec, beta_raw, *learnable_alpha = numkit.flat_views(
+        numkit.flat_vector(out, numkit.flat_size(layout)), layout)
+    key_net = numkit.init_mlp(dims, acts, batchnorm=False, rng=rng, out=key_vec)
+    query_net = numkit.init_mlp(dims, acts, batchnorm=False, rng=rng, out=query_vec)
     beta_raw[...] = softplus_inv(beta0)
-    alpha_arr = out[2 * n_net + 1:].reshape(()) if alpha_learnable else np.empty(())
+    alpha_arr = learnable_alpha[0] if learnable_alpha else np.empty(())
     alpha_arr[...] = float(alpha)
     return SEModel(key_net=key_net, query_net=query_net, embed_dim=embed_dim,
                    beta_raw=beta_raw, alpha=alpha_arr,
                    alpha_learnable=alpha_learnable, swap_roles=swap_roles)
+
+
+def se_vector_layout(in_dim: int, hidden, embed_dim: int,
+                     alpha_learnable: bool) -> list[tuple]:
+    """Shapes of the segments of the flat vector init_se_model builds a
+    model in: key net, query net, beta_raw, then alpha if learnable."""
+    n_net = numkit.flat_size(numkit.mlp_shapes([in_dim, *hidden, embed_dim], False))
+    return [(n_net,), (n_net,), ()] + [()] * int(alpha_learnable)
 
 
 def soft_threshold(t, beta):
@@ -128,8 +135,8 @@ def coefficients(model: SEModel, x_queries: np.ndarray, x_keys: np.ndarray,
 
     The cache carries everything needed for the loss gradients; eval-time
     callers can ignore it. The soft threshold is built in place: besides
-    boolean masks, at most three float arrays of the block's size are alive
-    at a time (s with |s| - beta and thr, then s with thr and block).
+    boolean masks, three float arrays of the block's size are made (s, thr
+    and block).
     """
     x_queries = np.asarray(x_queries, dtype=float)
     x_keys = np.asarray(x_keys, dtype=float)
@@ -156,15 +163,14 @@ def coefficients(model: SEModel, x_queries: np.ndarray, x_keys: np.ndarray,
     s = contrib_out @ target_out.T  # s[i, j] = v_i . u_j
     beta = model.beta
     alpha = float(model.alpha)
-    # thr = where(live, sign(s) * (|s| - beta), 0.0), built in two arrays
-    mag = np.abs(s)
-    live = mag > beta
+    # thr = where(live, sign(s) * (|s| - beta), 0.0), built in one array:
+    # on live entries |s| - beta > 0, so copysign gives sign(s) * (|s| - beta)
+    thr = np.abs(s)
+    live = thr > beta
     if mask_self:
         np.fill_diagonal(live, False)
-    mag -= beta
-    thr = np.sign(s)
-    thr *= mag
-    del mag
+    thr -= beta
+    np.copysign(thr, s, out=thr)
     np.copyto(thr, 0.0, where=~live)
     block = alpha * thr
     if model.swap_roles:

@@ -62,6 +62,7 @@ from .debias import (
     entropy_confusion_loss,
     head_accuracy,
     head_parameter_arrays,
+    head_vector_layout,
     init_bias_heads,
     invariance_grads,
 )
@@ -75,7 +76,7 @@ from .numkit import (
     mlp_param_arrays,
     normalize_rows,
 )
-from .sennet import SEModel, init_se_model, se_loss, se_parameter_arrays
+from .sennet import SEModel, init_se_model, se_loss, se_parameter_arrays, se_vector_layout
 
 CHECKPOINT_MAGIC = b"INVSEN01"
 CHECKPOINT_VERSION = 2
@@ -158,13 +159,11 @@ def _layout(config: TrainConfig, in_dim: int):
     """(n_main, n_bias, n_payload): the values in the two parameter vectors
     of init_state(config, in_dim) and in its _state_arrays. Integer
     arithmetic over the config; nothing is allocated."""
-    net = numkit.flat_size(numkit.mlp_shapes(
-        [in_dim, *config.hidden, config.embed_dim], False))
-    head_bn = [config.bias_batchnorm] * len(config.bias_hidden) + [False]
-    head = numkit.flat_size(numkit.mlp_shapes(
-        [config.embed_dim, *config.bias_hidden, config.n_bias_classes], head_bn))
-    n_main = 2 * net + 1 + int(config.alpha_learnable)
-    n_bias = 2 * head
+    n_main = numkit.flat_size(se_vector_layout(
+        in_dim, config.hidden, config.embed_dim, config.alpha_learnable))
+    n_bias = numkit.flat_size(head_vector_layout(
+        config.embed_dim, config.bias_hidden, config.n_bias_classes,
+        config.bias_batchnorm))
     # batchnorm running mean and variance of both heads; alpha when fixed
     n_extra = 4 * sum(config.bias_hidden) if config.bias_batchnorm else 0
     n_extra += 0 if config.alpha_learnable else 1
@@ -172,15 +171,10 @@ def _layout(config: TrainConfig, in_dim: int):
 
 
 def _segments(vec: np.ndarray, *nets):
-    """Consecutive slices of vec: one per net, as long as its trainable
+    """Consecutive views of vec: one per net, as long as its trainable
     arrays, then the rest."""
-    out, start = [], 0
-    for net in nets:
-        end = start + sum(a.size for a in mlp_param_arrays(net))
-        out.append(vec[start:end])
-        start = end
-    out.append(vec[start:])
-    return out
+    sizes = [numkit.flat_size(a.shape for a in mlp_param_arrays(net)) for net in nets]
+    return numkit.flat_views(vec, [(n,) for n in sizes] + [(vec.size - sum(sizes),)])
 
 
 def train_step(state: TrainState, batch: np.ndarray, bias_labels,
@@ -228,21 +222,21 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
         l_conf_query = entropy_confusion_loss(p_query)
         acc = 0.5 * (head_accuracy(p_key, b) + head_accuracy(p_query, b))
 
-        # All gradients are taken before any parameter moves. The confusion
-        # passes go first: only their input gradients are used, and the
-        # parameter gradients they leave in the heads' gradient vector are
-        # overwritten by the cross-entropy passes.
+        # All gradients are taken before any parameter moves. The heads
+        # learn from the cross-entropy alone; of the confusion passes only
+        # the gradients at the embeddings are used.
         g_g, g_gp, _ = _segments(state.opt_bias.grads, heads.g, heads.g_prime)
-        if w.lam > 0:
-            _, conf_into_u = mlp_backward(heads.g, cache_g,
-                                          entropy_confusion_grad_logits(p_key), g_g)
-            _, conf_into_v = mlp_backward(heads.g_prime, cache_gp,
-                                          entropy_confusion_grad_logits(p_query), g_gp)
         _, ce_into_u = mlp_backward(heads.g, cache_g,
                                     cross_entropy_grad_logits(p_key, b), g_g)
         _, ce_into_v = mlp_backward(heads.g_prime, cache_gp,
                                     cross_entropy_grad_logits(p_query, b), g_gp)
         if w.lam > 0:
+            _, conf_into_u = mlp_backward(heads.g, cache_g,
+                                          entropy_confusion_grad_logits(p_key),
+                                          param_grads=False)
+            _, conf_into_v = mlp_backward(heads.g_prime, cache_gp,
+                                          entropy_confusion_grad_logits(p_query),
+                                          param_grads=False)
             l_inv, (u_cf, cache_u_cf), (v_cf, cache_v_cf) = counterfactual_invariance(
                 model, x, b, se.key_out, se.query_out, heads.n_bias_classes)
             inv_u, inv_u_cf = invariance_grads(se.key_out, u_cf)
@@ -472,7 +466,10 @@ def _restore_state(manifest: dict, raw: bytes, offset: int, path: str) -> TrainS
     in_dim = manifest["in_dim"]
     count = _layout(config, in_dim)[2]
     have = len(raw) - offset
-    if not count > 0 or 8 * count != have:
+    if count <= 0:
+        raise CheckpointError(
+            f"{path}: its config builds no arrays (a layout of {count} values)")
+    if 8 * count != have:
         kind = "truncated array payload" if 8 * count > have else "trailing bytes"
         raise CheckpointError(
             f"{path}: {kind}: the layout its config builds holds {count} values, "

@@ -158,6 +158,18 @@ class TestMlpBackward:
         assert np.allclose(g_b, g.sum(axis=0), atol=1e-14)
         assert np.allclose(gin, g @ net.layers[0].w.T, atol=1e-14)
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_input_gradient_alone_matches_full_pass(self, mode):
+        net = init_mlp([3, 5, 4, 2], ["relu", "tanh", "none"], batchnorm=[True, False, False],
+                       rng=make_rng(15, "in"))
+        x = make_rng(16, "x").standard_normal((6, 3))
+        out, cache = mlp_forward(net, x, mode)
+        g = make_rng(17, "g").standard_normal(out.shape)
+        _, gin = mlp_backward(net, cache, g)
+        grads, gin_only = mlp_backward(net, cache, g, param_grads=False)
+        assert grads == []
+        assert gin_only.tobytes() == gin.tobytes()
+
     def test_finite_difference_every_layer_type(self):
         cases = [
             ([3, 4], ["none"], False),

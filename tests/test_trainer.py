@@ -473,7 +473,8 @@ class TestCheckpoints:
         (lambda m: m["config"].update(hidden=[10, 9]), "layout"),
         (lambda m: m["config"].update(bias_batchnorm=False), "layout"),
         (lambda m: m.update(in_dim=11), "layout"),
-    ], ids=["version-1", "hidden", "batchnorm", "in-dim"])
+        (lambda m: m.update(in_dim=-10 ** 6), "builds no arrays"),
+    ], ids=["version-1", "hidden", "batchnorm", "in-dim", "negative-in-dim"])
     def test_manifest_that_does_not_match_refused(self, tmp_path, edit, match):
         path = tmp_path / "ck.invsen"
         save_checkpoint(fit(tiny_config(epochs=1), toy_dataset()), str(path))
