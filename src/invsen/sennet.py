@@ -60,6 +60,14 @@ class SEModel:
     def in_dim(self) -> int:
         return self.key_net.in_dim
 
+    @property
+    def role_nets(self) -> tuple[MlpParams, MlpParams]:
+        """(target net, contributor net): the nets that embed the sample
+        being reconstructed and the samples contributing to it."""
+        if self.swap_roles:
+            return self.query_net, self.key_net
+        return self.key_net, self.query_net
+
 
 def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
                   beta0: float = DEFAULT_BETA0, alpha: float = 1.0,
@@ -133,10 +141,12 @@ def coefficients(model: SEModel, x_queries: np.ndarray, x_keys: np.ndarray,
     (the same array object, or mask_self=True) the self-pairs i = j are
     masked to exactly zero.
 
-    The cache carries everything needed for the loss gradients; eval-time
-    callers can ignore it. The soft threshold is built in place: besides
-    boolean masks, three float arrays of the block's size are made (s, thr
-    and block).
+    The cache carries everything se_loss needs for the gradients;
+    coefficient_matrix drops it. The soft threshold is built in place:
+    besides boolean masks, three float arrays of the block's size are made
+    (s, thr and block). Evaluation does not come here:
+    cluster.build_affinity computes the same entries of |C| in one n x n
+    array.
     """
     x_queries = np.asarray(x_queries, dtype=float)
     x_keys = np.asarray(x_keys, dtype=float)
@@ -152,10 +162,7 @@ def coefficients(model: SEModel, x_queries: np.ndarray, x_keys: np.ndarray,
     if mask_self and x_queries.shape[0] != x_keys.shape[0]:
         raise ShapeError("coefficients: mask_self requires equally sized sets")
 
-    if model.swap_roles:
-        target_net, contrib_net = model.query_net, model.key_net
-    else:
-        target_net, contrib_net = model.key_net, model.query_net
+    target_net, contrib_net = model.role_nets
     target_out, target_cache = mlp_forward(target_net, x_keys, mode)
     contrib_in = x_keys if same else x_queries
     contrib_out, contrib_cache = mlp_forward(contrib_net, contrib_in, mode)

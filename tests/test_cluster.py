@@ -4,8 +4,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from invsen import cluster, datagen, trainer
 from invsen.cluster import (
+    BLOCK,
     SpectralConfig,
-    affinity_from_coefficients,
     build_affinity,
     export_affinity_csv,
     kmeans,
@@ -58,21 +58,18 @@ def assert_null_space_spans_indicators(sizes, rng, permute=True):
         assert np.linalg.norm(vecs @ (vecs.T @ w) - w) < 1e-8
 
 
+# Two blocks of n = 2 * BLOCK + 10 samples: three tile rows, the last partial.
+TILED_SIZES = [BLOCK + 22, BLOCK - 12]
+# One off-diagonal entry in the first tile, in the tile farthest from the
+# diagonal and in the last diagonal tile.
+TILE_PROBES = [
+    pytest.param(lambda n: (0, 1), id="first-tile"),
+    pytest.param(lambda n: (0, n - 1), id="far-tile"),
+    pytest.param(lambda n: (n - 1, n - 2), id="last-diagonal-tile"),
+]
+
+
 class TestAffinity:
-    def test_definition(self):
-        c = np.array([[0.0, 1.0], [-2.0, 0.0]])
-        assert np.array_equal(affinity_from_coefficients(c),
-                              [[0.0, 3.0], [3.0, 0.0]])
-
-    def test_zero(self):
-        assert np.array_equal(affinity_from_coefficients(np.zeros((3, 3))),
-                              np.zeros((3, 3)))
-
-    @pytest.mark.parametrize("shape", [(3, 4), (3,), (2, 2, 2)])
-    def test_non_square_rejected(self, shape):
-        with pytest.raises(ShapeError, match="square"):
-            affinity_from_coefficients(np.zeros(shape))
-
     def test_matches_independent_coefficients(self):
         model = init_se_model(4, hidden=(6,), embed_dim=4, rng=make_rng(0, "m"))
         model.beta_raw = np.array(-3.0)
@@ -82,6 +79,28 @@ class TestAffinity:
         assert np.array_equal(a, np.abs(c) + np.abs(c.T))
         assert np.array_equal(a, a.T)
         assert a.min() >= 0.0
+
+    # a negative alpha is what a learnable alpha can reach in training
+    @pytest.mark.parametrize("alpha", [1.3, -0.7])
+    @pytest.mark.parametrize("swap_roles", [False, True])
+    @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 600])
+    def test_blocked_matches_plain_expression(self, n, swap_roles, alpha):
+        model = init_se_model(5, hidden=(8,), embed_dim=6, swap_roles=swap_roles,
+                              rng=make_rng(30, "m"))
+        model.alpha[...] = alpha
+        model.beta_raw[...] = -0.5  # beta ~ 0.47: live and dead pairs
+        x = make_rng(31, "x").standard_normal((n, 5))
+        c = coefficient_matrix(model, normalize_rows(x), mode="eval")
+        a = build_affinity(model, x)
+        if n > 2:
+            assert 0.05 < np.count_nonzero(a) / a.size < 0.95
+        assert a.tobytes() == (np.abs(c) + np.abs(c.T)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4,), (5, 3), (5, 4, 1)])
+    def test_bad_input_shape_rejected(self, shape):
+        model = init_se_model(4, hidden=(6,), embed_dim=4, rng=make_rng(0, "m"))
+        with pytest.raises(ShapeError):
+            build_affinity(model, np.ones(shape))
 
 
 class TestNormalizedLaplacian:
@@ -120,6 +139,26 @@ class TestNormalizedLaplacian:
     def test_asymmetric_rejected(self):
         with pytest.raises(NumericsError):
             normalized_laplacian(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize("where", TILE_PROBES)
+    def test_asymmetric_entry_in_any_tile_rejected(self, where):
+        a, _ = block_affinity(TILED_SIZES, make_rng(23, "blk"))
+        i, j = where(a.shape[0])
+        a[i, j] += 1e-13
+        with pytest.raises(NumericsError, match="not symmetric"):
+            normalized_laplacian(a)
+
+    def test_nan_rejected_before_labels(self):
+        a, _ = block_affinity([20, 20], make_rng(24, "blk"))
+        a[3, 30] = a[30, 3] = np.nan
+        with pytest.raises(NumericsError):
+            spectral_cluster(a, SpectralConfig(k=2, seed=0))
+
+    def test_affinity_left_intact(self):
+        a, _ = block_affinity(TILED_SIZES, make_rng(25, "blk"))
+        before = a.copy()
+        spectral_cluster(a, SpectralConfig(k=2, seed=0))
+        assert a.tobytes() == before.tobytes()
 
 
 class TestSmallestEigenvectors:
@@ -212,6 +251,14 @@ class TestLanczosSolver:
         # off by far less than the residual check would notice
         lap = normalized_laplacian(block_affinity([15, 15], make_rng(21, "blk"))[0])
         lap[0, 1] += 1e-13
+        with pytest.raises(NumericsError, match="not symmetric"):
+            smallest_eigenvectors(lap, 2)
+
+    @pytest.mark.parametrize("where", TILE_PROBES)
+    def test_asymmetric_entry_in_any_tile_rejected(self, where):
+        lap = normalized_laplacian(block_affinity(TILED_SIZES, make_rng(26, "blk"))[0])
+        i, j = where(lap.shape[0])
+        lap[i, j] += 1e-13
         with pytest.raises(NumericsError, match="not symmetric"):
             smallest_eigenvectors(lap, 2)
 
