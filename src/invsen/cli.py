@@ -160,7 +160,7 @@ TRAIN_DEFAULTS = {
     "eval_every": 1, "widths": "64,64,64", "embed_dim": 64,
     "bias_widths": "64,32,16", "bias_batchnorm": 1, "bias_warmup": 0,
     "n_bias_classes": 2, "alpha": 1.0,
-    "alpha_learnable": False, "swap_roles": False, "beta0": 0.005,
+    "alpha_learnable": False, "beta0": 0.005,
 }
 
 
@@ -200,8 +200,7 @@ def cmd_train(args) -> int:
         bias_batchnorm=bool(int(opts["bias_batchnorm"])),
         bias_warmup_epochs=int(opts["bias_warmup"]),
         n_bias_classes=int(opts["n_bias_classes"]), alpha=float(opts["alpha"]),
-        alpha_learnable=bool(opts["alpha_learnable"]),
-        swap_roles=bool(opts["swap_roles"]), beta0=float(opts["beta0"]))
+        alpha_learnable=bool(opts["alpha_learnable"]), beta0=float(opts["beta0"]))
 
     try:
         state = trainer.fit(config, dataset)
@@ -228,12 +227,13 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 EVAL_DEFAULTS = {
-    "k": None, "restarts": 10, "max_iter": 100, "seed": 0,
-    "laplacian": "symmetric", "label": None,
+    "k": None, "restarts": 10, "max_iter": 100, "seed": 0, "label": None,
 }
 
 
 def cmd_evaluate(args) -> int:
+    import numpy as np
+
     from . import cluster, datagen, trainer
     from .errors import ConfigError
     from .evalmetrics import METRIC_FIELDS, MetricsReport, evaluate_labels
@@ -247,8 +247,7 @@ def cmd_evaluate(args) -> int:
     label = opts["label"] or os.path.splitext(os.path.basename(args.checkpoint))[0]
     cfg = cluster.SpectralConfig(
         k=int(opts["k"]), kmeans_restarts=int(opts["restarts"]),
-        kmeans_max_iter=int(opts["max_iter"]), seed=int(opts["seed"]),
-        laplacian=opts["laplacian"])
+        kmeans_max_iter=int(opts["max_iter"]), seed=int(opts["seed"]))
 
     splits = {}
     csv_lines = ["split," + MetricsReport.csv_header()]
@@ -257,8 +256,11 @@ def cmd_evaluate(args) -> int:
         affinity = cluster.build_affinity(state.model, ds.X)
         pred = cluster.spectral_cluster(affinity, cfg)
         if args.dump_affinity:
-            cluster.export_affinity_csv(
-                affinity, os.path.join(out_dir, f"affinity_{ds.name}.csv"))
+            # through a handle: np.save appends .npy to a bare *.tmp path
+            dump = os.path.join(out_dir, f"affinity_{ds.name}.npy")
+            with open(dump + ".tmp", "wb") as fh:
+                np.save(fh, affinity)
+            os.replace(dump + ".tmp", dump)
         _write_text_atomic(
             os.path.join(out_dir, f"labels_{ds.name}.csv"),
             "\n".join(str(int(v)) for v in pred.labels) + "\n")
@@ -393,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--alpha", type=float)
     t.add_argument("--alpha-learnable", dest="alpha_learnable",
                    action="store_const", const=True)
-    t.add_argument("--swap-roles", dest="swap_roles",
-                   action="store_const", const=True)
     t.add_argument("--beta0", type=float)
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)
@@ -407,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--restarts", type=int)
     e.add_argument("--max-iter", dest="max_iter", type=int)
     e.add_argument("--seed", type=int)
-    e.add_argument("--laplacian", choices=("symmetric", "unnormalized"))
     e.add_argument("--label", help="label used in report tables")
-    e.add_argument("--dump-affinity", action="store_true")
+    e.add_argument("--dump-affinity", action="store_true",
+                   help="also write each split's affinity as affinity_<split>.npy")
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_evaluate)
 

@@ -12,17 +12,15 @@ expressions, so the results are the same bits.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from .errors import NumericsError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError
 from .numkit import make_rng, mlp_forward, normalize_rows
 from .sennet import SEModel
 
-LAPLACIAN_VARIANTS = ("symmetric", "unnormalized")
 # Rows per block, and tile side, of the passes over n x n arrays. A tile
 # pair is 256 KB. At n = 3000 on a Xeon with 2 MB of L2 per core, 64 and
 # 128 time alike for the row passes and 128 is fastest for the tile pairs.
@@ -42,22 +40,22 @@ class SpectralConfig:
     kmeans_max_iter: int = 100
     eig_tol: float = 1e-8
     seed: int = 0
-    laplacian: str = "symmetric"
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ConfigError("k must be >= 1")
         if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be >= 1")
-        if self.laplacian not in LAPLACIAN_VARIANTS:
-            raise ValueError(f"laplacian must be one of {LAPLACIAN_VARIANTS}")
+            raise ConfigError("kmeans_restarts must be >= 1")
+        if self.kmeans_max_iter < 1:
+            raise ConfigError("kmeans_max_iter must be >= 1")
 
 
 def build_affinity(model: SEModel, x: np.ndarray) -> np.ndarray:
     """Affinity A = |C| + |C^T| of the eval-mode coefficients over the whole
     (unit-normalized) sample set, with C[i, j] = alpha * soft_threshold(
-    v_i . u_j, beta) and the self-pairs zero, as `sennet.coefficients`
-    defines them. Symmetric, non-negative and zero-diagonal by construction.
+    v_i . u_j, beta) (u key, v query embeddings) and the self-pairs zero,
+    as `sennet.coefficients` defines them. Symmetric, non-negative and
+    zero-diagonal by construction.
 
     One n x n array is made: the inner products, which are turned into |C|
     in place one row block at a time (|alpha * copysign(|s| - beta, s)| is
@@ -71,9 +69,8 @@ def build_affinity(model: SEModel, x: np.ndarray) -> np.ndarray:
     if x.shape[0] < 2:
         raise ShapeError("build_affinity needs at least two samples")
     x = normalize_rows(x)
-    target_net, contrib_net = model.role_nets
-    u = mlp_forward(target_net, x, "eval")[0]
-    v = mlp_forward(contrib_net, x, "eval")[0]
+    u = mlp_forward(model.key_net, x, "eval")[0]
+    v = mlp_forward(model.query_net, x, "eval")[0]
     # one matmul: a row-blocked product can round the last block differently
     a = np.matmul(v, u.T)  # s[i, j] = v_i . u_j
     # |alpha|: a learnable alpha is not kept positive by its updates
@@ -119,20 +116,15 @@ def _check_affinity(a: np.ndarray) -> None:
         raise NumericsError("affinity has a nonzero diagonal")
 
 
-def normalized_laplacian(a: np.ndarray, variant: str = "symmetric") -> np.ndarray:
-    """Graph Laplacian of a symmetric non-negative affinity.
-
-    "symmetric": L = I - D^(-1/2) A D^(-1/2), eigenvalues in [0, 2];
-    zero-degree vertices get a 0 entry in D^(-1/2) (their row reduces to
-    the identity row). "unnormalized": L = D - A.
+def normalized_laplacian(a: np.ndarray) -> np.ndarray:
+    """Symmetric normalized Laplacian L = I - D^(-1/2) A D^(-1/2) of a
+    symmetric non-negative affinity, eigenvalues in [0, 2]; zero-degree
+    vertices get a 0 entry in D^(-1/2) (their row reduces to the identity
+    row).
     """
     a = np.asarray(a, dtype=float)
     _check_affinity(a)
     deg = a.sum(axis=1)
-    if variant == "unnormalized":
-        return np.diag(deg) - a
-    if variant != "symmetric":
-        raise ValueError(f"unknown laplacian variant {variant!r}")
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
     # -(D^-1/2 A D^-1/2), one row block at a time; exactly symmetric, as
@@ -254,19 +246,8 @@ def _kmeanspp(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 def spectral_cluster(a: np.ndarray, cfg: SpectralConfig) -> ClusterLabels:
     """Normalized spectral clustering of an affinity matrix."""
-    lap = normalized_laplacian(a, cfg.laplacian)
+    lap = normalized_laplacian(a)
     _, vecs = smallest_eigenvectors(lap, cfg.k, cfg.eig_tol)
     return kmeans(vecs, cfg.k, restarts=cfg.kmeans_restarts,
                   max_iter=cfg.kmeans_max_iter, seed=cfg.seed)
 
-
-def export_affinity_csv(a: np.ndarray, path: str) -> None:
-    """Row-major CSV dump with an `n=<n>` header line."""
-    a = np.asarray(a, dtype=float)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"n={a.shape[0]}\n")
-        for row in a:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-    os.replace(tmp, path)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .numkit import MlpParams, mlp_forward, softmax_rows
 
 PROB_EPS = 1e-7  # probabilities are clamped to [eps, 1-eps] before any log
@@ -60,11 +60,11 @@ class LossWeights:
 
     def __post_init__(self):
         if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+            raise ConfigError("gamma must be positive")
         if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
+            raise ConfigError("delta must lie in [0, 1]")
         if self.lam < 0 or self.mu < 0:
-            raise ValueError("lam and mu must be non-negative")
+            raise ConfigError("lam and mu must be non-negative")
 
 
 @dataclass
@@ -96,7 +96,7 @@ def init_bias_heads(embed_dim: int, hidden=(64, 32, 16), n_bias_classes: int = 2
     embeddings without going through a head.
     """
     if n_bias_classes < 2:
-        raise ValueError("need at least two bias classes")
+        raise ConfigError("need at least two bias classes")
     if rng is None:
         rng = numkit.make_rng(0, "bias-heads")
     dims = [embed_dim, *hidden, n_bias_classes]

@@ -9,8 +9,8 @@ Conventions used throughout:
   the reconstruction of sample j, so the reconstruction of the batch is
   C.T @ X. Coefficients are c_ij = alpha * soft_threshold(u_j . v_i, beta)
   where u comes from the key net (applied to the reconstructed sample) and
-  v from the query net (applied to the contributing sample). The diagonal
-  is identically zero whenever queries and keys are the same set.
+  v from the query net (applied to the contributing sample), as in SENet.
+  The diagonal is identically zero.
 * beta >= 0 is kept positive through a softplus reparameterization of an
   unconstrained scalar; alpha is a positive scale, fixed by default and
   trainable on request.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .numkit import MlpParams, mlp_forward, sigmoid, softplus, softplus_inv
 
 # With tanh embeddings and the uniform init, off-diagonal inner products
@@ -38,9 +38,8 @@ class SEModel:
     """Key/query networks plus the scalar coefficient parameters.
 
     beta_raw and alpha are held as 0-d float arrays so the optimizer can
-    update them in place alongside the network weights. swap_roles flips
-    which net embeds the reconstructed sample versus the contributors
-    (sensitivity toggle; the default follows the key-on-target convention).
+    update them in place alongside the network weights. The key net embeds
+    the sample being reconstructed, the query net its contributors.
     """
 
     key_net: MlpParams
@@ -50,7 +49,6 @@ class SEModel:
         default_factory=lambda: np.array(softplus_inv(DEFAULT_BETA0)))
     alpha: np.ndarray = field(default_factory=lambda: np.array(1.0))
     alpha_learnable: bool = False
-    swap_roles: bool = False
 
     @property
     def beta(self) -> float:
@@ -60,18 +58,10 @@ class SEModel:
     def in_dim(self) -> int:
         return self.key_net.in_dim
 
-    @property
-    def role_nets(self) -> tuple[MlpParams, MlpParams]:
-        """(target net, contributor net): the nets that embed the sample
-        being reconstructed and the samples contributing to it."""
-        if self.swap_roles:
-            return self.query_net, self.key_net
-        return self.key_net, self.query_net
-
 
 def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
                   beta0: float = DEFAULT_BETA0, alpha: float = 1.0,
-                  alpha_learnable: bool = False, swap_roles: bool = False,
+                  alpha_learnable: bool = False,
                   rng: np.random.Generator | None = None,
                   out: np.ndarray | None = None) -> SEModel:
     """Fresh model: hidden layers are ReLU, the embedding layer is tanh.
@@ -85,7 +75,9 @@ def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
     if rng is None:
         rng = numkit.make_rng(0, "se-model")
     if alpha <= 0:
-        raise ValueError("alpha must be positive")
+        raise ConfigError("alpha must be positive")
+    if beta0 <= 0:
+        raise ConfigError("beta0 must be positive")
     dims = [in_dim, *hidden, embed_dim]
     acts = ["relu"] * len(hidden) + ["tanh"]
     layout = se_vector_layout(in_dim, hidden, embed_dim, alpha_learnable)
@@ -98,7 +90,7 @@ def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
     alpha_arr[...] = float(alpha)
     return SEModel(key_net=key_net, query_net=query_net, embed_dim=embed_dim,
                    beta_raw=beta_raw, alpha=alpha_arr,
-                   alpha_learnable=alpha_learnable, swap_roles=swap_roles)
+                   alpha_learnable=alpha_learnable)
 
 
 def se_vector_layout(in_dim: int, hidden, embed_dim: int,
@@ -130,16 +122,13 @@ def elastic_net_reg_grad(c, delta: float):
     return delta * np.sign(c) + (1.0 - delta) * c
 
 
-def coefficients(model: SEModel, x_queries: np.ndarray, x_keys: np.ndarray,
-                 mode: str = "eval", mask_self: bool | None = None):
-    """Coefficient block for reconstructing x_keys samples from x_queries.
+def coefficients(model: SEModel, x: np.ndarray, mode: str = "eval"):
+    """Coefficients for reconstructing each sample of x from the others.
 
-    Returns (block, cache). block has shape (n_queries, n_keys) with entry
+    Returns (block, cache). block has shape (n, n) with entry
     (i, j) = alpha * soft_threshold(u_j . v_i, beta): row i is a
     contributing sample (query-embedded), column j the sample being
-    reconstructed (key-embedded). When queries and keys are the same set
-    (the same array object, or mask_self=True) the self-pairs i = j are
-    masked to exactly zero.
+    reconstructed (key-embedded). The self-pairs i = j are exactly zero.
 
     The cache carries everything se_loss needs for the gradients;
     coefficient_matrix drops it. The soft threshold is built in place:
@@ -148,56 +137,39 @@ def coefficients(model: SEModel, x_queries: np.ndarray, x_keys: np.ndarray,
     cluster.build_affinity computes the same entries of |C| in one n x n
     array.
     """
-    x_queries = np.asarray(x_queries, dtype=float)
-    x_keys = np.asarray(x_keys, dtype=float)
-    if x_queries.ndim != 2 or x_keys.ndim != 2:
-        raise ShapeError("coefficients: inputs must be 2-d (samples, features)")
-    if x_queries.shape[1] != model.in_dim or x_keys.shape[1] != model.in_dim:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ShapeError("coefficients: input must be 2-d (samples, features)")
+    if x.shape[1] != model.in_dim:
         raise ShapeError(
-            f"coefficients: feature dim {x_queries.shape[1]}/{x_keys.shape[1]} "
-            f"!= model input width {model.in_dim}")
-    same = x_queries is x_keys
-    if mask_self is None:
-        mask_self = same
-    if mask_self and x_queries.shape[0] != x_keys.shape[0]:
-        raise ShapeError("coefficients: mask_self requires equally sized sets")
+            f"coefficients: feature dim {x.shape[1]} != model input width {model.in_dim}")
 
-    target_net, contrib_net = model.role_nets
-    target_out, target_cache = mlp_forward(target_net, x_keys, mode)
-    contrib_in = x_keys if same else x_queries
-    contrib_out, contrib_cache = mlp_forward(contrib_net, contrib_in, mode)
+    key_out, key_cache = mlp_forward(model.key_net, x, mode)
+    query_out, query_cache = mlp_forward(model.query_net, x, mode)
 
-    s = contrib_out @ target_out.T  # s[i, j] = v_i . u_j
+    s = query_out @ key_out.T  # s[i, j] = v_i . u_j
     beta = model.beta
     alpha = float(model.alpha)
     # thr = where(live, sign(s) * (|s| - beta), 0.0), built in one array:
     # on live entries |s| - beta > 0, so copysign gives sign(s) * (|s| - beta)
     thr = np.abs(s)
     live = thr > beta
-    if mask_self:
-        np.fill_diagonal(live, False)
+    np.fill_diagonal(live, False)
     thr -= beta
     np.copysign(thr, s, out=thr)
     np.copyto(thr, 0.0, where=~live)
     block = alpha * thr
-    if model.swap_roles:
-        key_out, key_cache = contrib_out, contrib_cache
-        query_out, query_cache = target_out, target_cache
-    else:
-        key_out, key_cache = target_out, target_cache
-        query_out, query_cache = contrib_out, contrib_cache
     cache = {
         "s": s, "live": live, "thr": thr, "alpha": alpha, "beta": beta,
         "key_out": key_out, "query_out": query_out,
         "key_cache": key_cache, "query_cache": query_cache,
-        "mask_self": mask_self,
     }
     return block, cache
 
 
 def coefficient_matrix(model: SEModel, x: np.ndarray, mode: str = "eval") -> np.ndarray:
     """Full (n, n) self-expression coefficient matrix with zero diagonal."""
-    block, _ = coefficients(model, x, x, mode=mode)
+    block, _ = coefficients(model, x, mode)
     return block
 
 
@@ -258,7 +230,7 @@ def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
     if n < 1:
         raise ShapeError("se_loss: batch must contain at least one sample")
 
-    block, cache = coefficients(model, x, x, mode=mode, mask_self=True)
+    block, cache = coefficients(model, x, mode)
     s, live, thr = cache["s"], cache["live"], cache["thr"]
     alpha = cache["alpha"]
 
@@ -291,16 +263,8 @@ def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
     g_beta = float(-(g_thr * np.sign(s) * live).sum())
     g_beta_raw = g_beta * float(sigmoid(model.beta_raw))
 
-    if model.swap_roles:
-        contrib, target = cache["key_out"], cache["query_out"]
-    else:
-        contrib, target = cache["query_out"], cache["key_out"]
-    g_contrib = g_s @ target           # d s[i, j] / d v_i = u_j
-    g_target = g_s.T @ contrib         # d s[i, j] / d u_j = v_i
-    if model.swap_roles:
-        g_query_out, g_key_out = g_target, g_contrib
-    else:
-        g_query_out, g_key_out = g_contrib, g_target
+    g_query_out = g_s @ cache["key_out"]      # d s[i, j] / d v_i = u_j
+    g_key_out = g_s.T @ cache["query_out"]    # d s[i, j] / d u_j = v_i
 
     return SELossResult(
         loss=loss, recon=recon, reg=reg, l_align=l_align, coeffs=block,

@@ -79,7 +79,7 @@ from .numkit import (
 from .sennet import SEModel, init_se_model, se_loss, se_parameter_arrays, se_vector_layout
 
 CHECKPOINT_MAGIC = b"INVSEN01"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 DIVERGENCE_LIMIT = 1e6
 
 HISTORY_FIELDS = ("epoch", "l_se", "l_conf_key", "l_conf_query",
@@ -105,7 +105,6 @@ class TrainConfig:
     n_bias_classes: int = 2
     alpha: float = 1.0
     alpha_learnable: bool = False
-    swap_roles: bool = False
     beta0: float = 0.005
 
     def __post_init__(self):
@@ -144,8 +143,7 @@ def init_state(config: TrainConfig, in_dim: int) -> TrainState:
     model = init_se_model(
         in_dim, hidden=config.hidden, embed_dim=config.embed_dim,
         beta0=config.beta0, alpha=config.alpha,
-        alpha_learnable=config.alpha_learnable, swap_roles=config.swap_roles,
-        rng=rng, out=opt_main.params)
+        alpha_learnable=config.alpha_learnable, rng=rng, out=opt_main.params)
     heads = init_bias_heads(config.embed_dim, hidden=config.bias_hidden,
                             n_bias_classes=config.n_bias_classes,
                             batchnorm=config.bias_batchnorm, rng=rng,

@@ -4,10 +4,13 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from invsen.cli import main
+from invsen.cluster import build_affinity
 from invsen.datagen import load_dataset
+from invsen.trainer import load_checkpoint
 
 
 def run_cli(*argv):
@@ -179,6 +182,12 @@ def _version_1(manifest):
     manifest["version"] = 1
 
 
+def _version_2(manifest):
+    # the previous format, whose config still holds swap_roles
+    manifest["version"] = 2
+    manifest["config"]["swap_roles"] = False
+
+
 def _hidden_disagrees_with_arrays(manifest):
     manifest["config"]["hidden"] = [9, 6]
 
@@ -233,7 +242,8 @@ class TestEvaluate:
         assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("corrupt", [_drop_config, _unknown_config_key, _misnamed_array,
-                                         _version_1, _hidden_disagrees_with_arrays,
+                                         _version_1, _version_2,
+                                         _hidden_disagrees_with_arrays,
                                          _in_dim_huge, _in_dim_negative])
     def test_malformed_checkpoint_manifest_exits_1(self, tmp_path, data_dir,
                                                     trained_dir, capsys, corrupt):
@@ -251,6 +261,47 @@ class TestEvaluate:
                        "--k", "2", "--out", str(tmp_path / "e"))
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_dump_affinity_writes_exact_npy(self, tmp_path, data_dir, trained_dir):
+        out = tmp_path / "e"
+        ckpt = str(trained_dir / "checkpoint.invsen")
+        code = run_cli("evaluate", "--checkpoint", ckpt,
+                       "--data", str(data_dir / "test.csv"), "--k", "2",
+                       "--dump-affinity", "--out", str(out))
+        assert code == 0
+        dumped = np.load(out / "affinity_test.npy")
+        expected = build_affinity(load_checkpoint(ckpt).model,
+                                  load_dataset(str(data_dir / "test.csv")).X)
+        assert dumped.dtype == expected.dtype and dumped.shape == expected.shape
+        assert dumped.tobytes() == expected.tobytes()
+        assert not any(p.name.endswith(".tmp") for p in out.iterdir())
+
+
+# out-of-range options: each must end in a ConfigError (exit 2), not a traceback
+BAD_OPTIONS = [
+    ("train", "--gamma", "0"), ("train", "--delta", "2"), ("train", "--lambda", "-1"),
+    ("train", "--mu", "-1"), ("train", "--alpha", "0"), ("train", "--beta0", "0"),
+    ("evaluate", "--k", "0"), ("evaluate", "--restarts", "0"),
+    ("evaluate", "--max-iter", "0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_OPTIONS,
+                         ids=[f"{c}{f}={v}" for c, f, v in BAD_OPTIONS])
+def test_out_of_range_option_exits_2(tmp_path, data_dir, trained_dir, capsys,
+                                     command, flag, value):
+    if command == "train":
+        argv = ["train", "--data", str(data_dir / "train.csv"), "--epochs", "1",
+                "--batch-size", "12", "--widths", "6", "--embed-dim", "4",
+                "--bias-widths", "6"]
+    else:
+        argv = ["evaluate", "--checkpoint", str(trained_dir / "checkpoint.invsen"),
+                "--data", str(data_dir / "test.csv"), "--k", "2"]
+    capsys.readouterr()
+    code = run_cli(*argv, flag, value, "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestReport:

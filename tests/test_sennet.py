@@ -30,7 +30,7 @@ def constant_embedding_model(d, p, vec, alpha=1.0, beta_raw=-np.inf):
                    beta_raw=np.array(beta_raw), alpha=np.array(alpha))
 
 
-def linear_embedding_model(wk, wq, alpha=1.0, beta_raw=-np.inf, swap=False):
+def linear_embedding_model(wk, wq, alpha=1.0, beta_raw=-np.inf):
     """Nets are bare linear maps u = x @ wk, v = x @ wq."""
     def net(w):
         return MlpParams(layers=[DenseLayer(w=np.asarray(w, dtype=float).copy(),
@@ -38,8 +38,7 @@ def linear_embedding_model(wk, wq, alpha=1.0, beta_raw=-np.inf, swap=False):
                                             activation="none")])
     return SEModel(key_net=net(wk), query_net=net(wq),
                    embed_dim=np.asarray(wk).shape[1],
-                   beta_raw=np.array(beta_raw), alpha=np.array(alpha),
-                   swap_roles=swap)
+                   beta_raw=np.array(beta_raw), alpha=np.array(alpha))
 
 
 class TestSoftThreshold:
@@ -112,17 +111,15 @@ class TestCoefficients:
                 expected[i, j] = alpha * np.sign(s) * max(0.0, abs(s) - beta)
         assert np.abs(c - expected).max() < 1e-10
 
-    @pytest.mark.parametrize("mask_self", [True, False])
-    def test_in_place_threshold_matches_where_expression(self, mask_self):
+    def test_in_place_threshold_matches_where_expression(self):
         model = init_se_model(6, hidden=(8,), embed_dim=5, alpha=1.7,
                               rng=make_rng(9, "m"))
         model.beta_raw[...] = -3.0  # beta ~ 0.049: live and dead pairs
         x = make_rng(10, "x").standard_normal((40, 6))
-        block, cache = coefficients(model, x, x.copy(), mask_self=mask_self)
+        block, cache = coefficients(model, x)
         s = cache["s"]
         live = np.abs(s) > model.beta
-        if mask_self:
-            np.fill_diagonal(live, False)
+        np.fill_diagonal(live, False)
         thr = np.where(live, np.sign(s) * (np.abs(s) - model.beta), 0.0)
         assert 0 < live.sum() < live.size - 40
         assert np.array_equal(cache["live"], live)
@@ -166,29 +163,10 @@ class TestCoefficients:
             fractions.append(np.mean(c == 0.0))
         assert fractions == sorted(fractions)
 
-    def test_swap_roles_equals_swapped_nets(self):
-        base = init_se_model(3, hidden=(5,), embed_dim=4, rng=make_rng(12, "m"))
-        base.beta_raw = np.array(-3.0)
-        swapped = SEModel(key_net=base.query_net, query_net=base.key_net,
-                          embed_dim=4, beta_raw=base.beta_raw.copy(),
-                          alpha=base.alpha.copy(), swap_roles=False)
-        base.swap_roles = True
-        x = make_rng(13, "x").standard_normal((5, 3))
-        assert np.array_equal(coefficient_matrix(base, x),
-                              coefficient_matrix(swapped, x))
-
     def test_feature_dim_mismatch(self):
         model = init_se_model(3, hidden=(5,), embed_dim=4, rng=make_rng(14, "m"))
         with pytest.raises(ShapeError):
-            coefficients(model, np.zeros((4, 2)), np.zeros((4, 2)))
-
-    def test_two_set_block_shape(self):
-        model = init_se_model(3, hidden=(5,), embed_dim=4, rng=make_rng(15, "m"))
-        model.beta_raw = np.array(-50.0)
-        xq = make_rng(16, "q").standard_normal((5, 3))
-        xk = make_rng(17, "k").standard_normal((2, 3))
-        block, _ = coefficients(model, xq, xk)
-        assert block.shape == (5, 2)  # rows: contributors, cols: targets
+            coefficients(model, np.zeros((4, 2)))
 
 
 class TestSELoss:

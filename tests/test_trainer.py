@@ -317,7 +317,7 @@ class TestTrainStep:
         # (a layer rebound to a copy would stop training silently)
         ds = toy_dataset()
         x = normalize_rows(ds.X)
-        for kw in (dict(), dict(alpha_learnable=True, swap_roles=True, bias_batchnorm=False,
+        for kw in (dict(), dict(alpha_learnable=True, bias_batchnorm=False,
                                 weights=LossWeights(gamma=20.0, delta=0.9, lam=1.0, mu=1.0))):
             state = init_state(tiny_config(**kw), ds.X.shape[1])
             assert_flat(state)
@@ -455,9 +455,9 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("kw", [
         dict(bias_batchnorm=False),
-        dict(alpha_learnable=True, swap_roles=True, bias_warmup_epochs=1),
+        dict(alpha_learnable=True, bias_warmup_epochs=1),
         dict(weights=LossWeights(gamma=20.0, delta=0.9, lam=0.0, mu=1.0)),
-    ], ids=["no-batchnorm", "alpha-swap", "lam0"])
+    ], ids=["no-batchnorm", "alpha-learnable", "lam0"])
     def test_load_save_byte_identical(self, tmp_path, kw):
         kw = {"weights": LossWeights(gamma=20.0, delta=0.9, lam=0.5, mu=1.0), **kw}
         save_checkpoint(fit(tiny_config(epochs=2, **kw), toy_dataset()),
@@ -470,11 +470,13 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("edit, match", [
         (lambda m: m.update(version=1), "version"),
+        # the previous format: version 2, whose config holds swap_roles
+        (lambda m: (m.update(version=2), m["config"].update(swap_roles=False)), "version"),
         (lambda m: m["config"].update(hidden=[10, 9]), "layout"),
         (lambda m: m["config"].update(bias_batchnorm=False), "layout"),
         (lambda m: m.update(in_dim=11), "layout"),
         (lambda m: m.update(in_dim=-10 ** 6), "builds no arrays"),
-    ], ids=["version-1", "hidden", "batchnorm", "in-dim", "negative-in-dim"])
+    ], ids=["version-1", "version-2", "hidden", "batchnorm", "in-dim", "negative-in-dim"])
     def test_manifest_that_does_not_match_refused(self, tmp_path, edit, match):
         path = tmp_path / "ck.invsen"
         save_checkpoint(fit(tiny_config(epochs=1), toy_dataset()), str(path))
