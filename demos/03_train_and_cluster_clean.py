@@ -31,7 +31,7 @@ affinity = build_affinity(state.model, data.X)
 pred = spectral_cluster(affinity, SpectralConfig(k=3, seed=0))
 
 report = evaluate_labels(pred.labels, data.s, data.b)
-coeffs = coefficient_matrix(state.model, normalize_rows(data.X), mode="eval")
+coeffs = coefficient_matrix(state.model, normalize_rows(data.X))
 spr = subspace_preserving_rate(coeffs, data.s)
 
 print(f"ACC {report.acc:.3f}  NMI {report.nmi:.3f}  ARI {report.ari:.3f}")

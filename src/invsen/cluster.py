@@ -38,7 +38,6 @@ class SpectralConfig:
     k: int
     kmeans_restarts: int = 10
     kmeans_max_iter: int = 100
-    eig_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -51,7 +50,7 @@ class SpectralConfig:
 
 
 def build_affinity(model: SEModel, x: np.ndarray) -> np.ndarray:
-    """Affinity A = |C| + |C^T| of the eval-mode coefficients over the whole
+    """Affinity A = |C| + |C^T| of the coefficients over the whole
     (unit-normalized) sample set, with C[i, j] = alpha * soft_threshold(
     v_i . u_j, beta) (u key, v query embeddings) and the self-pairs zero,
     as `sennet.coefficients` defines them. Symmetric, non-negative and
@@ -69,8 +68,8 @@ def build_affinity(model: SEModel, x: np.ndarray) -> np.ndarray:
     if x.shape[0] < 2:
         raise ShapeError("build_affinity needs at least two samples")
     x = normalize_rows(x)
-    u = mlp_forward(model.key_net, x, "eval")[0]
-    v = mlp_forward(model.query_net, x, "eval")[0]
+    u = mlp_forward(model.key_net, x)[0]
+    v = mlp_forward(model.query_net, x)[0]
     # one matmul: a row-blocked product can round the last block differently
     a = np.matmul(v, u.T)  # s[i, j] = v_i . u_j
     # |alpha|: a learnable alpha is not kept positive by its updates
@@ -247,7 +246,7 @@ def _kmeanspp(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 def spectral_cluster(a: np.ndarray, cfg: SpectralConfig) -> ClusterLabels:
     """Normalized spectral clustering of an affinity matrix."""
     lap = normalized_laplacian(a)
-    _, vecs = smallest_eigenvectors(lap, cfg.k, cfg.eig_tol)
+    _, vecs = smallest_eigenvectors(lap, cfg.k)
     return kmeans(vecs, cfg.k, restarts=cfg.kmeans_restarts,
                   max_iter=cfg.kmeans_max_iter, seed=cfg.seed)
 

@@ -68,8 +68,8 @@ class DataGenConfig:
             raise ConfigError("subspace_rank must satisfy 1 <= rank < ambient_dim")
         if self.n_per_cluster < 1:
             raise ConfigError("n_per_cluster must be >= 1")
-        if self.noise_sigma < 0 or self.bias_strength < 0:
-            raise ConfigError("noise_sigma and bias_strength must be >= 0")
+        if not (0.0 <= self.noise_sigma < np.inf and 0.0 <= self.bias_strength < np.inf):
+            raise ConfigError("noise_sigma and bias_strength must be >= 0 and finite")
         if not 0.0 <= self.bias_flip_e <= 0.5:
             raise ConfigError("bias_flip_e must lie in [0, 0.5]")
         if not 0.0 <= self.label_flip <= 0.5:
@@ -216,27 +216,31 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset file; malformed headers, ragged rows, or count
-    mismatches raise DataFormatError with the offending line number."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a dataset file; malformed headers, ragged rows, bytes that are
+    not UTF-8, negative labels, or count mismatches raise DataFormatError
+    with the offending line number."""
+    with open(path, "rb") as fh:
         header = fh.readline()
-        m = _HEADER_RE.match(header.rstrip("\n"))
+        m = _HEADER_RE.match(_decode(header, path, 1).rstrip("\r\n"))
         if m is None:
             raise DataFormatError("bad or missing invsen-dataset header",
                                   path=path, line=1)
         n, d, has_s, has_b = (int(g) for g in m.groups())
         width = d + has_s + has_b
         # each field takes at least one character and a comma or newline
-        if 2 * n * width - 1 > os.fstat(fh.fileno()).st_size - len(header.encode("utf-8")):
+        if 2 * n * width - 1 > os.fstat(fh.fileno()).st_size - len(header):
             raise DataFormatError(
                 f"header says n={n} rows of {width} fields, more than the file holds",
                 path=path, line=1)
-        x = np.empty((n, d), dtype=float)
+        try:
+            x = np.empty((n, d), dtype=float)
+        except ValueError as exc:  # a width past numpy's limit, with n = 0
+            raise DataFormatError(f"header says d={d} ({exc})", path=path, line=1) from exc
         s = np.empty(n, dtype=int) if has_s else None
         b = np.empty(n, dtype=int) if has_b else None
         row = 0
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+            line = _decode(line, path, lineno).strip()
             if not line:
                 continue
             if row >= n:
@@ -249,18 +253,19 @@ def load_dataset(path: str) -> Dataset:
                     path=path, line=lineno)
             try:
                 x[row] = [float(c) for c in cells[:d]]
-                pos = d
+                labels = [int(c) for c in cells[d:]]
                 if has_s:
-                    s[row] = int(cells[pos])
-                    pos += 1
+                    s[row] = labels[0]
                 if has_b:
-                    b[row] = int(cells[pos])
-            except ValueError as exc:
+                    b[row] = labels[-1]
+            except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"unparsable value ({exc})",
                                       path=path, line=lineno) from exc
             if not np.all(np.isfinite(x[row])):
                 raise DataFormatError("non-finite feature value",
                                       path=path, line=lineno)
+            if min(labels, default=0) < 0:
+                raise DataFormatError("negative label", path=path, line=lineno)
             row += 1
         if row != n:
             raise DataFormatError(
@@ -268,6 +273,14 @@ def load_dataset(path: str) -> Dataset:
                 path=path, line=row + 1)
     name = os.path.splitext(os.path.basename(path))[0]
     return Dataset(X=x, s=s, b=b, name=name, provenance={"source": path})
+
+
+def _decode(raw: bytes, path: str, lineno: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not UTF-8 ({exc.reason} at byte {exc.start})",
+                              path=path, line=lineno) from exc
 
 
 def bias_group(s: np.ndarray) -> np.ndarray:

@@ -59,12 +59,13 @@ class LossWeights:
     mu: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
+        # written so that NaN fails every range
+        if not 0.0 < self.gamma < np.inf:
+            raise ConfigError("gamma must be positive and finite")
         if not 0.0 <= self.delta <= 1.0:
             raise ConfigError("delta must lie in [0, 1]")
-        if self.lam < 0 or self.mu < 0:
-            raise ConfigError("lam and mu must be non-negative")
+        if not (0.0 <= self.lam < np.inf and 0.0 <= self.mu < np.inf):
+            raise ConfigError("lam and mu must be non-negative and finite")
 
 
 @dataclass
@@ -119,15 +120,17 @@ def head_vector_layout(embed_dim: int, hidden, n_bias_classes: int,
     return [(n_head,), (n_head,)]
 
 
-def bias_posterior(head: MlpParams, emb: np.ndarray, mode: str = "train"):
+def bias_posterior(head: MlpParams, emb: np.ndarray):
     """Class probabilities of the bias label given embeddings.
 
     Returns (probs, cache): probs rows are softmax outputs (non-negative,
     summing to 1); the loss functions clamp to [PROB_EPS, 1-PROB_EPS]
-    before taking logs. The cache backs the head's backward pass.
+    before taking logs. The cache backs the head's backward pass. A head
+    with batchnorm normalizes with the statistics of emb itself, so probs
+    depend on the whole batch; the heads are read only in training.
     """
     emb = np.asarray(emb, dtype=float)
-    logits, cache = mlp_forward(head, emb, mode)
+    logits, cache = mlp_forward(head, emb)
     probs = softmax_rows(logits)
     return probs, cache
 
@@ -231,8 +234,7 @@ def counterfactual_inputs(x: np.ndarray, labels, n_classes: int = 2) -> np.ndarr
 
 
 def counterfactual_invariance(model, x: np.ndarray, labels, key_out: np.ndarray,
-                              query_out: np.ndarray, n_classes: int = 2,
-                              mode: str = "train"):
+                              query_out: np.ndarray, n_classes: int = 2):
     """Embed the bias-swapped batch with both nets and compare.
 
     key_out / query_out are the batch's own embeddings. Returns
@@ -242,8 +244,8 @@ def counterfactual_invariance(model, x: np.ndarray, labels, key_out: np.ndarray,
     pass.
     """
     x_cf = counterfactual_inputs(x, labels, n_classes)
-    key_cf = mlp_forward(model.key_net, x_cf, mode)
-    query_cf = mlp_forward(model.query_net, x_cf, mode)
+    key_cf = mlp_forward(model.key_net, x_cf)
+    query_cf = mlp_forward(model.query_net, x_cf)
     l_inv = (invariance_loss(key_out, key_cf[0])
              + invariance_loss(query_out, query_cf[0]))
     return l_inv, key_cf, query_cf

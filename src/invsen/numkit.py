@@ -107,18 +107,12 @@ def require_finite(name: str, *arrays) -> None:
 
 @dataclass
 class BatchNorm:
-    """Per-feature batch normalization state.
-
-    Train mode normalizes with batch statistics (variance divided by the
-    batch size, not n-1) and folds them into the running averages with the
-    given momentum. Eval mode is a pure function of the running statistics.
-    """
+    """Per-feature batch normalization: every forward pass normalizes with
+    the batch's own mean and variance (divided by the batch size, not n-1),
+    then applies scale and shift. No running statistics are kept."""
 
     scale: np.ndarray
     shift: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.9
     eps: float = 1e-5
 
 
@@ -208,21 +202,19 @@ def init_mlp(dims, activations, batchnorm, rng: np.random.Generator,
             scale, shift = next(views), next(views)
             scale[...] = 1.0
             shift[...] = 0.0
-            bn = BatchNorm(scale=scale, shift=shift,
-                           running_mean=np.zeros(d_out), running_var=np.ones(d_out))
+            bn = BatchNorm(scale=scale, shift=shift)
         layers.append(DenseLayer(w=w, b=b, activation=activations[i], batchnorm=bn))
     return MlpParams(layers=layers)
 
 
 def clone_mlp(params: MlpParams) -> MlpParams:
-    """Deep copy (weights, biases, batchnorm state)."""
+    """Deep copy (weights, biases, batchnorm scale and shift)."""
     layers = []
     for lay in params.layers:
         bn = None
         if lay.batchnorm is not None:
             o = lay.batchnorm
-            bn = BatchNorm(o.scale.copy(), o.shift.copy(), o.running_mean.copy(),
-                           o.running_var.copy(), o.momentum, o.eps)
+            bn = BatchNorm(o.scale.copy(), o.shift.copy(), o.eps)
         layers.append(DenseLayer(lay.w.copy(), lay.b.copy(), lay.activation, bn))
     return MlpParams(layers=layers)
 
@@ -255,15 +247,12 @@ def set_param_arrays(params: MlpParams, arrays) -> MlpParams:
     return params
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray, mode: str = "train"):
+def mlp_forward(params: MlpParams, x: np.ndarray):
     """Run the MLP; returns (output, cache) where cache feeds mlp_backward.
 
-    mode="train" normalizes with batch statistics and updates the running
-    averages in place; mode="eval" reads the running averages and mutates
-    nothing.
+    Batchnorm layers normalize with the batch's statistics. Nothing is
+    mutated, so the output is a function of the parameters and x alone.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"input must be 2-d (batch, features), got shape {x.shape}")
@@ -277,16 +266,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray, mode: str = "train"):
         bn_cache = None
         if lay.batchnorm is not None:
             bn = lay.batchnorm
-            if mode == "train":
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)  # divide by batch size
-                inv_std = 1.0 / np.sqrt(var + bn.eps)
-                xhat = (z - mu) * inv_std
-                bn.running_mean[:] = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mu
-                bn.running_var[:] = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var
-            else:
-                inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
-                xhat = (z - bn.running_mean) * inv_std
+            inv_std = 1.0 / np.sqrt(z.var(axis=0) + bn.eps)  # divide by batch size
+            xhat = (z - z.mean(axis=0)) * inv_std
             bn_cache = (xhat, inv_std)
             pre = bn.scale * xhat + bn.shift
         else:
@@ -300,7 +281,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray, mode: str = "train"):
         layer_caches.append({"x": h, "pre": pre, "out": out, "bn": bn_cache})
         h = out
     require_finite("mlp_forward", h)
-    return h, {"mode": mode, "layers": tuple(layer_caches),
+    return h, {"layers": tuple(layer_caches),
                "shapes": tuple(lay.w.shape for lay in params.layers)}
 
 
@@ -324,7 +305,6 @@ def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray,
     if cache.get("shapes") != tuple(lay.w.shape for lay in params.layers):
         raise ShapeError("cache does not match this network (stale cache?)")
     layer_caches = cache["layers"]
-    mode = cache["mode"]
     grad = np.asarray(grad_output, dtype=float)
     if grad.shape != layer_caches[-1]["out"].shape:
         raise ShapeError(
@@ -348,12 +328,9 @@ def mlp_backward(params: MlpParams, cache, grad_output: np.ndarray,
                 _into(g_scale, add, np.add.reduce, grad * xhat, axis=0)
                 _into(g_shift, add, np.add.reduce, grad, axis=0)
             dxhat = grad * bn.scale
-            if mode == "train":
-                n = grad.shape[0]
-                grad = (inv_std / n) * (
-                    n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-            else:
-                grad = dxhat * inv_std
+            n = grad.shape[0]
+            grad = (inv_std / n) * (
+                n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
         if param_grads:
             g_b, g_w = next(slots), next(slots)
             _into(g_w, add, np.matmul, lc["x"].T, grad)

@@ -74,10 +74,10 @@ def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
     """
     if rng is None:
         rng = numkit.make_rng(0, "se-model")
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
-    if beta0 <= 0:
-        raise ConfigError("beta0 must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ConfigError("alpha must be positive and finite")
+    if not 0.0 < beta0 < np.inf:
+        raise ConfigError("beta0 must be positive and finite")
     dims = [in_dim, *hidden, embed_dim]
     acts = ["relu"] * len(hidden) + ["tanh"]
     layout = se_vector_layout(in_dim, hidden, embed_dim, alpha_learnable)
@@ -122,7 +122,7 @@ def elastic_net_reg_grad(c, delta: float):
     return delta * np.sign(c) + (1.0 - delta) * c
 
 
-def coefficients(model: SEModel, x: np.ndarray, mode: str = "eval"):
+def coefficients(model: SEModel, x: np.ndarray):
     """Coefficients for reconstructing each sample of x from the others.
 
     Returns (block, cache). block has shape (n, n) with entry
@@ -144,8 +144,8 @@ def coefficients(model: SEModel, x: np.ndarray, mode: str = "eval"):
         raise ShapeError(
             f"coefficients: feature dim {x.shape[1]} != model input width {model.in_dim}")
 
-    key_out, key_cache = mlp_forward(model.key_net, x, mode)
-    query_out, query_cache = mlp_forward(model.query_net, x, mode)
+    key_out, key_cache = mlp_forward(model.key_net, x)
+    query_out, query_cache = mlp_forward(model.query_net, x)
 
     s = query_out @ key_out.T  # s[i, j] = v_i . u_j
     beta = model.beta
@@ -167,9 +167,9 @@ def coefficients(model: SEModel, x: np.ndarray, mode: str = "eval"):
     return block, cache
 
 
-def coefficient_matrix(model: SEModel, x: np.ndarray, mode: str = "eval") -> np.ndarray:
+def coefficient_matrix(model: SEModel, x: np.ndarray) -> np.ndarray:
     """Full (n, n) self-expression coefficient matrix with zero diagonal."""
-    block, _ = coefficients(model, x, mode)
+    block, _ = coefficients(model, x)
     return block
 
 
@@ -201,7 +201,7 @@ class SELossResult:
 
 
 def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
-            mode: str = "train", shift=None, shift_weight: float = 0.0) -> SELossResult:
+            shift=None, shift_weight: float = 0.0) -> SELossResult:
     """Self-expression loss over one batch and its exact gradients.
 
     loss = (gamma / 2n) * sum_j ||x_j - sum_{i != j} C[i, j] x_i||^2
@@ -230,7 +230,7 @@ def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
     if n < 1:
         raise ShapeError("se_loss: batch must contain at least one sample")
 
-    block, cache = coefficients(model, x, mode)
+    block, cache = coefficients(model, x)
     s, live, thr = cache["s"], cache["live"], cache["thr"]
     alpha = cache["alpha"]
 

@@ -34,10 +34,10 @@ into the gradient vectors (the counterfactual pass adds to them) and runs
 one fused update per optimizer.
 
 A checkpoint stores the config and the input width, from which
-init_state rebuilds the state, and the arrays in _state_arrays order,
-which is the only place their layout is written. _layout sizes that
-layout from the config alone, so a checkpoint is checked against its
-payload length before anything is allocated.
+init_state rebuilds the state, and the six vectors of _state_arrays: each
+optimizer's parameters, m and v. _layout sizes the two parameter vectors
+from the config alone, so a checkpoint is checked against its payload
+length before anything is allocated.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .debias import (
     entropy_confusion_grad_logits,
     entropy_confusion_loss,
     head_accuracy,
-    head_parameter_arrays,
     head_vector_layout,
     init_bias_heads,
     invariance_grads,
@@ -76,10 +75,10 @@ from .numkit import (
     mlp_param_arrays,
     normalize_rows,
 )
-from .sennet import SEModel, init_se_model, se_loss, se_parameter_arrays, se_vector_layout
+from .sennet import SEModel, init_se_model, se_loss, se_vector_layout
 
 CHECKPOINT_MAGIC = b"INVSEN01"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 DIVERGENCE_LIMIT = 1e6
 
 HISTORY_FIELDS = ("epoch", "l_se", "l_conf_key", "l_conf_query",
@@ -95,7 +94,6 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
     eval_every: int = 1
-    checkpoint_path: str | None = None
     # architecture (key/query hidden widths, embedding dim, head widths)
     hidden: tuple = (64, 64, 64)
     embed_dim: int = 64
@@ -112,8 +110,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (self-expression needs peers)")
-        if self.lr_main <= 0 or self.lr_bias <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not (0 < self.lr_main < np.inf and 0 < self.lr_bias < np.inf):
+            raise ConfigError("learning rates must be positive and finite")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
         self.hidden = tuple(int(h) for h in self.hidden)
@@ -136,7 +134,7 @@ def init_state(config: TrainConfig, in_dim: int) -> TrainState:
     the optimizers' parameter vectors. RNG consumption is fixed (key net,
     query net, head g, head g') so trajectories only depend on the seed,
     never on which loss terms are active."""
-    n_main, n_bias, _ = _layout(config, in_dim)
+    n_main, n_bias = _layout(config, in_dim)
     opt_main = adam_init(np.empty(n_main), config.lr_main)
     opt_bias = adam_init(np.empty(n_bias), config.lr_bias)
     rng = make_rng(config.seed, "init")
@@ -154,18 +152,15 @@ def init_state(config: TrainConfig, in_dim: int) -> TrainState:
 
 
 def _layout(config: TrainConfig, in_dim: int):
-    """(n_main, n_bias, n_payload): the values in the two parameter vectors
-    of init_state(config, in_dim) and in its _state_arrays. Integer
-    arithmetic over the config; nothing is allocated."""
+    """(n_main, n_bias): the values in the two parameter vectors of
+    init_state(config, in_dim). Integer arithmetic over the config; nothing
+    is allocated."""
     n_main = numkit.flat_size(se_vector_layout(
         in_dim, config.hidden, config.embed_dim, config.alpha_learnable))
     n_bias = numkit.flat_size(head_vector_layout(
         config.embed_dim, config.bias_hidden, config.n_bias_classes,
         config.bias_batchnorm))
-    # batchnorm running mean and variance of both heads; alpha when fixed
-    n_extra = 4 * sum(config.bias_hidden) if config.bias_batchnorm else 0
-    n_extra += 0 if config.alpha_learnable else 1
-    return n_main, n_bias, 3 * (n_main + n_bias) + n_extra
+    return n_main, n_bias
 
 
 def _segments(vec: np.ndarray, *nets):
@@ -198,8 +193,7 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
         # each contributor enters the reconstruction moved into its target's
         # bias group
         shift = bias_group_shift(x, bias_labels, heads.n_bias_classes)
-    se = se_loss(model, x, w.gamma, w.delta, mode="train",
-                 shift=shift, shift_weight=w.lam)
+    se = se_loss(model, x, w.gamma, w.delta, shift=shift, shift_weight=w.lam)
 
     l_ce_key = l_ce_query = l_conf_key = l_conf_query = float("nan")
     l_inv = None
@@ -212,8 +206,8 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
         b = np.asarray(bias_labels)
         if b.shape[0] != x.shape[0]:
             raise ShapeError("batch and bias labels are misaligned")
-        p_key, cache_g = bias_posterior(heads.g, se.key_out, "train")
-        p_query, cache_gp = bias_posterior(heads.g_prime, se.query_out, "train")
+        p_key, cache_g = bias_posterior(heads.g, se.key_out)
+        p_query, cache_gp = bias_posterior(heads.g_prime, se.query_out)
         l_ce_key = cross_entropy_loss(p_key, b)
         l_ce_query = cross_entropy_loss(p_query, b)
         l_conf_key = entropy_confusion_loss(p_key)
@@ -334,8 +328,10 @@ def _run_epochs(state: TrainState, x: np.ndarray, b, until_epoch: int) -> TrainS
 
 def fit(config: TrainConfig, dataset: Dataset) -> TrainState:
     """Train from scratch on a dataset (features are unit-normalized per
-    sample on entry). Returns the final state; writes a checkpoint to
-    config.checkpoint_path if one is set."""
+    sample on entry). Returns the final state."""
+    if dataset.n < 2:
+        # before init_state, which sizes the nets by the width alone
+        raise ConfigError(f"training needs at least two samples, got {dataset.n}")
     x = normalize_rows(dataset.X)
     b = dataset.b
     if config.weights.lam > 0 and b is None:
@@ -348,10 +344,7 @@ def fit(config: TrainConfig, dataset: Dataset) -> TrainState:
             raise ConfigError(
                 f"bias labels must lie in [0, {config.n_bias_classes})")
     state = init_state(config, x.shape[1])
-    state = _run_epochs(state, x, b, config.epochs)
-    if config.checkpoint_path:
-        save_checkpoint(state, config.checkpoint_path)
-    return state
+    return _run_epochs(state, x, b, config.epochs)
 
 
 def resume(state: TrainState, dataset: Dataset, epochs: int | None = None) -> TrainState:
@@ -370,39 +363,14 @@ def resume(state: TrainState, dataset: Dataset, epochs: int | None = None) -> Tr
 # Checkpoints: magic + JSON manifest + packed little-endian float64 arrays
 # ---------------------------------------------------------------------------
 
-def _net_arrays(prefix: str, net):
-    out = []
-    for i, lay in enumerate(net.layers):
-        out.append((f"{prefix}.{i}.w", lay.w))
-        out.append((f"{prefix}.{i}.b", lay.b))
-        if lay.batchnorm is not None:
-            bn = lay.batchnorm
-            out.append((f"{prefix}.{i}.bn.scale", bn.scale))
-            out.append((f"{prefix}.{i}.bn.shift", bn.shift))
-            out.append((f"{prefix}.{i}.bn.running_mean", bn.running_mean))
-            out.append((f"{prefix}.{i}.bn.running_var", bn.running_var))
-    return out
-
-
 def _state_arrays(state: TrainState):
-    """Every array of the state, named, in checkpoint order."""
-    named = []
-    named += _net_arrays("model.key_net", state.model.key_net)
-    named += _net_arrays("model.query_net", state.model.query_net)
-    named.append(("model.beta_raw", state.model.beta_raw))
-    named.append(("model.alpha", state.model.alpha))
-    named += _net_arrays("heads.g", state.heads.g)
-    named += _net_arrays("heads.g_prime", state.heads.g_prime)
-    for tag, opt, arrays in (
-            ("opt_main", state.opt_main, se_parameter_arrays(state.model)),
-            ("opt_bias", state.opt_bias, head_parameter_arrays(state.heads))):
-        # the moments, cut into views shaped like the arrays they follow
-        shapes = [a.shape for a in arrays]
-        for i, (m, v) in enumerate(zip(numkit.flat_views(opt.m, shapes),
-                                       numkit.flat_views(opt.v, shapes))):
-            named.append((f"{tag}.m.{i}", m))
-            named.append((f"{tag}.v.{i}", v))
-    return named
+    """Every array of the state, named, in checkpoint order: each
+    optimizer's parameters and moments. The nets, beta_raw and a learnable
+    alpha are views of the parameter vectors; a fixed alpha comes from the
+    config."""
+    return [(f"{tag}.{part}", getattr(opt, part))
+            for tag, opt in (("opt_main", state.opt_main), ("opt_bias", state.opt_bias))
+            for part in ("params", "m", "v")]
 
 
 def save_checkpoint(state: TrainState, path: str) -> None:
@@ -462,7 +430,7 @@ def _restore_state(manifest: dict, raw: bytes, offset: int, path: str) -> TrainS
     cfg_dict["bias_hidden"] = tuple(cfg_dict["bias_hidden"])
     config = TrainConfig(**cfg_dict)
     in_dim = manifest["in_dim"]
-    count = _layout(config, in_dim)[2]
+    count = 3 * sum(_layout(config, in_dim))
     have = len(raw) - offset
     if count <= 0:
         raise CheckpointError(

@@ -17,10 +17,10 @@ import numpy as np
 # forward pass, straight from the layer equations
 # ---------------------------------------------------------------------------
 
-def ref_mlp_forward(net, x, mode="train"):
+def ref_mlp_forward(net, x):
     """Pure-Python re-implementation of the dense forward pass (fsum dot
-    products, per-element activations). Batchnorm running statistics are
-    read but never written."""
+    products, per-element activations, batchnorm over the batch's own
+    statistics)."""
     h = [list(map(float, row)) for row in np.asarray(x)]
     for lay in net.layers:
         w = lay.w.tolist()
@@ -31,13 +31,9 @@ def ref_mlp_forward(net, x, mode="train"):
         if lay.batchnorm is not None:
             bn = lay.batchnorm
             nb = len(z)
-            if mode == "train":
-                mean = [math.fsum(z[r][j] for r in range(nb)) / nb for j in range(d_out)]
-                var = [math.fsum((z[r][j] - mean[j]) ** 2 for r in range(nb)) / nb
-                       for j in range(d_out)]
-            else:
-                mean = bn.running_mean.tolist()
-                var = bn.running_var.tolist()
+            mean = [math.fsum(z[r][j] for r in range(nb)) / nb for j in range(d_out)]
+            var = [math.fsum((z[r][j] - mean[j]) ** 2 for r in range(nb)) / nb
+                   for j in range(d_out)]
             z = [[float(bn.scale[j]) * (z[r][j] - mean[j]) / math.sqrt(var[j] + bn.eps)
                   + float(bn.shift[j]) for j in range(d_out)] for r in range(nb)]
         if lay.activation == "relu":

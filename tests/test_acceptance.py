@@ -104,7 +104,7 @@ class TestCriterion1:
             def loss_and_grad(arrays, net=net):
                 clone = numkit.clone_mlp(net)
                 numkit.set_param_arrays(clone, [a.copy() for a in arrays[:-1]])
-                out, cache = mlp_forward(clone, arrays[-1], "train")
+                out, cache = mlp_forward(clone, arrays[-1])
                 grads, gin = mlp_backward(clone, cache, out)
                 return 0.5 * float((out ** 2).sum()), grads + [gin]
 
@@ -168,7 +168,7 @@ class TestCriterion1:
                     e = emb
                 else:
                     e = arrays[0]
-                probs, cache = bias_posterior(heads.g, e, "train")
+                probs, cache = bias_posterior(heads.g, e)
                 if kind == "ce":
                     loss = cross_entropy_loss(probs, labels)
                     gz = cross_entropy_grad_logits(probs, labels)
@@ -207,8 +207,8 @@ class TestCriterion1:
         def inv_params_lg(arrays):
             net = numkit.set_param_arrays(numkit.clone_mlp(net0),
                                           [a.copy() for a in arrays])
-            e, cache = mlp_forward(net, xi, "train")
-            e_cf, cache_cf = mlp_forward(net, xi_cf, "train")
+            e, cache = mlp_forward(net, xi)
+            e_cf, cache_cf = mlp_forward(net, xi_cf)
             g, g_cf = invariance_grads(e, e_cf)
             grads, _ = mlp_backward(net, cache, g)
             grads_cf, _ = mlp_backward(net, cache_cf, g_cf)
@@ -389,8 +389,7 @@ class TestCriterion4:
             affinity = build_affinity(state.model, ds.X)
             pred = spectral_cluster(affinity, SpectralConfig(k=3, seed=seed))
             accs.append(accuracy(pred.labels, ds.s))
-            coeffs = coefficient_matrix(state.model, normalize_rows(ds.X),
-                                        mode="eval")
+            coeffs = coefficient_matrix(state.model, normalize_rows(ds.X))
             sprs.append(subspace_preserving_rate(coeffs, ds.s))
         elapsed = time.time() - t0
         ok = (median(accs) >= 0.95 and median(sprs) >= 0.90 and elapsed < 300.0)

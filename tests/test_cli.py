@@ -174,8 +174,8 @@ def _unknown_config_key(manifest):
 
 
 def _misnamed_array(manifest):
-    entry = next(e for e in manifest["arrays"] if e["name"] == "model.key_net.0.w")
-    entry["name"] = "model.key_net.0.weights"
+    entry = next(e for e in manifest["arrays"] if e["name"] == "opt_main.params")
+    entry["name"] = "opt_main.weights"
 
 
 def _version_1(manifest):
@@ -183,9 +183,15 @@ def _version_1(manifest):
 
 
 def _version_2(manifest):
-    # the previous format, whose config still holds swap_roles
+    # version 2, whose config still holds swap_roles
     manifest["version"] = 2
     manifest["config"]["swap_roles"] = False
+
+
+def _version_3(manifest):
+    # the previous format, whose config still holds checkpoint_path
+    manifest["version"] = 3
+    manifest["config"]["checkpoint_path"] = None
 
 
 def _hidden_disagrees_with_arrays(manifest):
@@ -242,7 +248,7 @@ class TestEvaluate:
         assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("corrupt", [_drop_config, _unknown_config_key, _misnamed_array,
-                                         _version_1, _version_2,
+                                         _version_1, _version_2, _version_3,
                                          _hidden_disagrees_with_arrays,
                                          _in_dim_huge, _in_dim_negative])
     def test_malformed_checkpoint_manifest_exits_1(self, tmp_path, data_dir,
@@ -260,7 +266,10 @@ class TestEvaluate:
                        "--data", str(data_dir / "test.csv"),
                        "--k", "2", "--out", str(tmp_path / "e"))
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if corrupt is _version_3:
+            assert "unsupported version 3" in err
 
     def test_dump_affinity_writes_exact_npy(self, tmp_path, data_dir, trained_dir):
         out = tmp_path / "e"
@@ -281,6 +290,12 @@ class TestEvaluate:
 BAD_OPTIONS = [
     ("train", "--gamma", "0"), ("train", "--delta", "2"), ("train", "--lambda", "-1"),
     ("train", "--mu", "-1"), ("train", "--alpha", "0"), ("train", "--beta0", "0"),
+    # NaN passes a comparison-only range check; each must be refused
+    *(("train", flag, "nan") for flag in ("--gamma", "--lambda", "--mu", "--alpha",
+                                          "--beta0", "--lr-main", "--lr-bias")),
+    ("train", "--gamma", "inf"),
+    ("gen-data", "--sigma", "nan"), ("gen-data", "--sigma", "inf"),
+    ("gen-data", "--bias-strength", "nan"),
     ("evaluate", "--k", "0"), ("evaluate", "--restarts", "0"),
     ("evaluate", "--max-iter", "0"),
 ]
@@ -294,6 +309,8 @@ def test_out_of_range_option_exits_2(tmp_path, data_dir, trained_dir, capsys,
         argv = ["train", "--data", str(data_dir / "train.csv"), "--epochs", "1",
                 "--batch-size", "12", "--widths", "6", "--embed-dim", "4",
                 "--bias-widths", "6"]
+    elif command == "gen-data":
+        argv = ["gen-data", "--k", "2", "--d", "12", "--rank", "2", "--n-per", "4"]
     else:
         argv = ["evaluate", "--checkpoint", str(trained_dir / "checkpoint.invsen"),
                 "--data", str(data_dir / "test.csv"), "--k", "2"]
@@ -302,6 +319,34 @@ def test_out_of_range_option_exits_2(tmp_path, data_dir, trained_dir, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("corruption", ["non-utf8", "negative-label"])
+def test_corrupt_dataset_file_exits_1(tmp_path, data_dir, trained_dir, capsys,
+                                      command, corruption):
+    # the second data row (line 3) spoilt: a byte that is not UTF-8 after its
+    # first feature, or its cluster label (the next-to-last cell) made -1
+    lines = (data_dir / "test.csv").read_bytes().split(b"\n")
+    cells = lines[2].split(b",")
+    if corruption == "non-utf8":
+        cells[0] += b"\xff"
+    else:
+        cells[-2] = b"-1"
+    lines[2] = b",".join(cells)
+    path = tmp_path / "corrupt.csv"
+    path.write_bytes(b"\n".join(lines))
+    if command == "train":
+        argv = ["train", "--data", str(path), "--epochs", "1"]
+    else:
+        argv = ["evaluate", "--checkpoint", str(trained_dir / "checkpoint.invsen"),
+                "--data", str(path), "--k", "2"]
+    capsys.readouterr()
+    code = run_cli(*argv, "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{path}:3: " in err
 
 
 class TestReport:

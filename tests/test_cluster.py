@@ -74,7 +74,7 @@ class TestAffinity:
         model.beta_raw = np.array(-3.0)
         x = make_rng(1, "x").standard_normal((8, 4))
         a = build_affinity(model, x)
-        c = coefficient_matrix(model, normalize_rows(x), mode="eval")
+        c = coefficient_matrix(model, normalize_rows(x))
         assert np.array_equal(a, np.abs(c) + np.abs(c.T))
         assert np.array_equal(a, a.T)
         assert a.min() >= 0.0
@@ -92,7 +92,7 @@ class TestAffinity:
         model.alpha[...] = alpha
         model.beta_raw[...] = -0.5  # beta ~ 0.47: live and dead pairs
         x = make_rng(31, "x").standard_normal((n, 5))
-        c = coefficient_matrix(model, normalize_rows(x), mode="eval")
+        c = coefficient_matrix(model, normalize_rows(x))
         a = build_affinity(model, x)
         if n > 2:
             assert 0.05 < np.count_nonzero(a) / a.size < 0.95
@@ -273,7 +273,7 @@ class TestInPlaceForms:
                               rng=make_rng(30, "m"))
         model.beta_raw[...] = -0.5  # beta ~ 0.47: live and dead pairs
         x = make_rng(31, "x").standard_normal((300, 5))
-        c = coefficient_matrix(model, normalize_rows(x), mode="eval")
+        c = coefficient_matrix(model, normalize_rows(x))
         a = build_affinity(model, x)
         assert 0.1 < np.count_nonzero(a) / a.size < 0.9
         assert a.tobytes() == (np.abs(c) + np.abs(c.T)).tobytes()

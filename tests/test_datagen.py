@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from invsen.datagen import (
     DataGenConfig,
@@ -164,6 +166,10 @@ class TestDatasetIO:
                         "1.0,2.0\n")
         with pytest.raises(DataFormatError, match="more than the file holds"):
             load_dataset(str(path))
+        # no rows, but a width numpy cannot allocate even for them
+        path.write_text("# invsen-dataset v1 n=0 d=99999999999999999999 has_s=0 has_b=0\n")
+        with pytest.raises(DataFormatError, match=":1: header says d="):
+            load_dataset(str(path))
         # the smallest file that can hold its header's rows is accepted
         path.write_text("# invsen-dataset v1 n=2 d=2 has_s=0 has_b=1\n1,2,0\n3,4,1")
         assert load_dataset(str(path)).n == 2
@@ -181,6 +187,20 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError, match=":3"):
             load_dataset(str(path))
 
+    def test_negative_bias_label_names_line(self, tmp_path):
+        # the CLI tests spoil a cluster label; this one the bias label
+        path = tmp_path / "bad.csv"
+        path.write_text("# invsen-dataset v1 n=2 d=2 has_s=1 has_b=1\n"
+                        "1.0,2.0,0,0\n3.0,4.0,1,-1\n")
+        with pytest.raises(DataFormatError, match=":3: negative label"):
+            load_dataset(str(path))
+
+    def test_label_too_large_for_int64(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# invsen-dataset v1 n=1 d=1 has_s=1 has_b=0\n1.0,99999999999999999999\n")
+        with pytest.raises(DataFormatError, match=":2: unparsable"):
+            load_dataset(str(path))
+
     def test_optional_labels_absent(self, tmp_path):
         ds = Dataset(X=np.array([[1.0, 2.0], [3.0, 4.0]]))
         path = str(tmp_path / "x.csv")
@@ -193,3 +213,39 @@ class TestDatasetIO:
         path = tmp_path / "out.csv"
         save_dataset(ds, str(path))
         assert not (tmp_path / "out.csv.tmp").exists()
+
+
+@pytest.fixture(scope="module")
+def saved_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ds") / "d.csv"
+    save_dataset(generate(small_config(n_per_cluster=2, ambient_dim=12)), str(path))
+    return path.read_bytes().split(b"\n")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupt_dataset_line_gives_a_dataset_or_data_format_error(saved_lines, tmp_path, data):
+    # one line (the header included) replaced by arbitrary bytes, or one of
+    # its bytes replaced: load_dataset returns a dataset or raises
+    # DataFormatError, nothing else
+    lines = list(saved_lines)
+    at = data.draw(st.integers(0, len(lines) - 1), label="line")
+    if data.draw(st.booleans(), label="whole line") or not lines[at]:
+        lines[at] = data.draw(st.one_of(
+            st.binary(max_size=40),
+            st.text(alphabet="0123456789-+.,eEinfa \r", max_size=40).map(str.encode)),
+            label="bytes")
+    else:
+        i = data.draw(st.integers(0, len(lines[at]) - 1), label="offset")
+        byte = data.draw(st.one_of(st.integers(0, 255), st.sampled_from(b"-0123456789.,e\n")),
+                         label="byte")
+        lines[at] = lines[at][:i] + bytes([byte]) + lines[at][i + 1:]
+    path = tmp_path / "corrupt.csv"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        ds = load_dataset(str(path))
+    except DataFormatError:
+        return
+    assert np.isfinite(ds.X).all()
+    assert all(labels is None or labels.min(initial=0) >= 0 for labels in (ds.s, ds.b))

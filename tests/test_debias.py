@@ -43,15 +43,15 @@ class TestBiasPosterior:
     def test_rows_sum_to_one(self):
         heads = init_bias_heads(4, hidden=(6, 5), rng=make_rng(1, "h"))
         emb = make_rng(2, "e").standard_normal((20, 4)) * 3.0
-        probs, _ = bias_posterior(heads.g, emb, "train")
+        probs, _ = bias_posterior(heads.g, emb)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
         assert probs.min() >= 0.0
 
     def test_matches_compositional_recomputation(self):
         heads = init_bias_heads(4, hidden=(6,), rng=make_rng(3, "h"))
         emb = make_rng(4, "e").standard_normal((5, 4))
-        probs, _ = bias_posterior(heads.g, emb, "eval")
-        logits = ref_mlp_forward(heads.g, emb, "eval")
+        probs, _ = bias_posterior(heads.g, emb)
+        logits = ref_mlp_forward(heads.g, emb)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         assert np.abs(probs - e / e.sum(axis=1, keepdims=True)).max() < 1e-12
 

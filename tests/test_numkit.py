@@ -29,12 +29,12 @@ def seeded_net():
                     rng=make_rng(7, "net"))
 
 
-def mse_loss_and_grad(template, x, mode="train"):
+def mse_loss_and_grad(template, x):
     """loss = 0.5 * sum(out^2) over a reconstructed copy of the net."""
     def fn(arrays):
         net = clone_mlp(template)
         set_param_arrays(net, [a.copy() for a in arrays])
-        out, cache = mlp_forward(net, x, mode)
+        out, cache = mlp_forward(net, x)
         loss = 0.5 * float((out ** 2).sum())
         grads, _ = mlp_backward(net, cache, out)
         return loss, grads
@@ -106,35 +106,32 @@ class TestMlpForward:
     def test_matches_reference_forward(self, seeded_net):
         # oracle: pure-python re-implementation of the layer equations
         x = make_rng(3, "x").standard_normal((5, 3))
-        out, _ = mlp_forward(seeded_net, x, "train")
-        ref = ref_mlp_forward(seeded_net, x, "train")
+        out, _ = mlp_forward(seeded_net, x)
+        ref = ref_mlp_forward(seeded_net, x)
         assert np.abs(out - ref).max() < 1e-12
 
     def test_matches_reference_with_batchnorm(self):
         net = init_mlp([3, 5, 2], ["relu", "none"], batchnorm=[True, False],
                        rng=make_rng(4, "bn"))
         x = make_rng(5, "x").standard_normal((7, 3))
-        ref = ref_mlp_forward(net, x, "train")  # before running stats move
-        out, _ = mlp_forward(net, x, "train")
+        ref = ref_mlp_forward(net, x)  # before running stats move
+        out, _ = mlp_forward(net, x)
         assert np.abs(out - ref).max() < 1e-12
 
     def test_dimension_mismatch_names_layer(self, seeded_net):
         with pytest.raises(ShapeError, match="layer 0"):
             mlp_forward(seeded_net, np.zeros((2, 5)))
 
-    def test_eval_mode_is_pure(self):
-        net = init_mlp([3, 4], ["relu"], batchnorm=True, rng=make_rng(6, "bn"))
-        x = make_rng(7, "x").standard_normal((4, 3))
-        mlp_forward(net, x, "train")  # move running stats off init
-        out1, _ = mlp_forward(net, x, "eval")
-        out2, _ = mlp_forward(net, x, "eval")
-        assert np.array_equal(out1, out2)
-
-    def test_train_mode_updates_running_stats(self):
-        net = init_mlp([3, 4], ["none"], batchnorm=True, rng=make_rng(6, "bn"))
-        before = net.layers[0].batchnorm.running_mean.copy()
-        mlp_forward(net, make_rng(8, "x").standard_normal((4, 3)) + 5.0, "train")
-        assert not np.array_equal(before, net.layers[0].batchnorm.running_mean)
+    def test_forward_mutates_nothing(self):
+        net = init_mlp([3, 4, 2], ["relu", "none"], batchnorm=True, rng=make_rng(6, "bn"))
+        x = make_rng(7, "x").standard_normal((4, 3)) + 5.0
+        before = [a.copy() for a in mlp_param_arrays(net)]
+        x_before = x.copy()
+        out1, _ = mlp_forward(net, x)
+        out2, _ = mlp_forward(net, x)
+        assert out1.tobytes() == out2.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(mlp_param_arrays(net), before))
+        assert x.tobytes() == x_before.tobytes()
 
 
 class TestMlpBackward:
@@ -158,12 +155,11 @@ class TestMlpBackward:
         assert np.allclose(g_b, g.sum(axis=0), atol=1e-14)
         assert np.allclose(gin, g @ net.layers[0].w.T, atol=1e-14)
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_input_gradient_alone_matches_full_pass(self, mode):
+    def test_input_gradient_alone_matches_full_pass(self):
         net = init_mlp([3, 5, 4, 2], ["relu", "tanh", "none"], batchnorm=[True, False, False],
                        rng=make_rng(15, "in"))
         x = make_rng(16, "x").standard_normal((6, 3))
-        out, cache = mlp_forward(net, x, mode)
+        out, cache = mlp_forward(net, x)
         g = make_rng(17, "g").standard_normal(out.shape)
         _, gin = mlp_backward(net, cache, g)
         grads, gin_only = mlp_backward(net, cache, g, param_grads=False)
@@ -189,7 +185,7 @@ class TestMlpBackward:
     def test_constant_batch_batchnorm_grads_flow_through_shift(self):
         net = init_mlp([3, 4], ["none"], batchnorm=True, rng=make_rng(20, "bn"))
         x = np.tile(make_rng(21, "x").standard_normal(3), (5, 1))
-        out, cache = mlp_forward(net, x, "train")
+        out, cache = mlp_forward(net, x)
         g = make_rng(22, "g").standard_normal(out.shape)
         _, _, g_scale, g_shift = mlp_backward(net, cache, g)[0]
         assert np.abs(g_scale).max() < 1e-12  # xhat is 0

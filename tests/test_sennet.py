@@ -99,8 +99,8 @@ class TestCoefficients:
                               rng=make_rng(5, "m"))
         x = make_rng(6, "x").standard_normal((4, 3))
         c = coefficient_matrix(model, x)
-        u = ref_mlp_forward(model.key_net, x, "eval")
-        v = ref_mlp_forward(model.query_net, x, "eval")
+        u = ref_mlp_forward(model.key_net, x)
+        v = ref_mlp_forward(model.query_net, x)
         beta, alpha = model.beta, float(model.alpha)
         expected = np.zeros((4, 4))
         for i in range(4):
@@ -241,7 +241,7 @@ class TestSELoss:
         model = init_se_model(5, hidden=(6,), embed_dim=4, rng=make_rng(8, "m"))
         x = make_rng(10, "x").standard_normal((8, 5))
         b = make_rng(11, "b").integers(0, 2, size=8)
-        res = se_loss(model, x, 10.0, 0.9, mode="eval",
+        res = se_loss(model, x, 10.0, 0.9,
                       shift=bias_group_shift(x, b), shift_weight=0.7)
         # each contributor moved into the bias group of the sample it rebuilds
         means = [x[b == k].mean(axis=0) for k in (0, 1)]
@@ -251,7 +251,7 @@ class TestSELoss:
                                          - ((res.coeffs.T @ x - x) ** 2).sum())
         assert res.l_align == pytest.approx(l_align, rel=1e-12)
         # the plain objective's value is reported unchanged
-        assert res.loss == se_loss(model, x, 10.0, 0.9, mode="eval").loss
+        assert res.loss == se_loss(model, x, 10.0, 0.9).loss
 
     def test_gamma_must_be_positive(self):
         model = init_se_model(3, hidden=(5,), embed_dim=4, rng=make_rng(24, "m"))

@@ -147,8 +147,8 @@ class TestTrainStep:
 
         se = se_loss(twin.model, x, w.gamma, w.delta,
                      shift=bias_group_shift(x, b), shift_weight=w.lam)
-        p_key, cache_g = bias_posterior(twin.heads.g, se.key_out, "train")
-        p_query, cache_gp = bias_posterior(twin.heads.g_prime, se.query_out, "train")
+        p_key, cache_g = bias_posterior(twin.heads.g, se.key_out)
+        p_query, cache_gp = bias_posterior(twin.heads.g_prime, se.query_out)
         g_grads, ce_u = mlp_backward(twin.heads.g, cache_g,
                                      cross_entropy_grad_logits(p_key, b))
         gp_grads, ce_v = mlp_backward(twin.heads.g_prime, cache_gp,
@@ -158,8 +158,8 @@ class TestTrainStep:
         _, conf_v = mlp_backward(twin.heads.g_prime, cache_gp,
                                  entropy_confusion_grad_logits(p_query))
         x_cf = counterfactual_inputs(x, b)
-        u_cf, cache_u_cf = mlp_forward(twin.model.key_net, x_cf, "train")
-        v_cf, cache_v_cf = mlp_forward(twin.model.query_net, x_cf, "train")
+        u_cf, cache_u_cf = mlp_forward(twin.model.key_net, x_cf)
+        v_cf, cache_v_cf = mlp_forward(twin.model.query_net, x_cf)
         inv_u, inv_u_cf = invariance_grads(se.key_out, u_cf)
         inv_v, inv_v_cf = invariance_grads(se.query_out, v_cf)
         gk, _ = mlp_backward(twin.model.key_net, se.key_cache,
@@ -194,11 +194,11 @@ class TestTrainStep:
 
         se = se_loss(twin.model, x, w.gamma, w.delta,
                      shift=bias_group_shift(x, b), shift_weight=w.lam)
-        pk, _ = bias_posterior(twin.heads.g, se.key_out, "train")
-        pq, _ = bias_posterior(twin.heads.g_prime, se.query_out, "train")
+        pk, _ = bias_posterior(twin.heads.g, se.key_out)
+        pq, _ = bias_posterior(twin.heads.g_prime, se.query_out)
         x_cf = counterfactual_inputs(x, b)
-        u_cf, _ = mlp_forward(twin.model.key_net, x_cf, "train")
-        v_cf, _ = mlp_forward(twin.model.query_net, x_cf, "train")
+        u_cf, _ = mlp_forward(twin.model.key_net, x_cf)
+        v_cf, _ = mlp_forward(twin.model.query_net, x_cf)
         l_inv = invariance_loss(se.key_out, u_cf) + invariance_loss(se.query_out, v_cf)
         expected = (se.loss
                     + 0.7 * (entropy_confusion_loss(pk) + entropy_confusion_loss(pq))
@@ -255,7 +255,7 @@ class TestTrainStep:
 
         se = se_loss(clone_state(state).model, x, 20.0, 0.9)
         heads = clone_state(state).heads
-        p_key, cache_g = bias_posterior(heads.g, se.key_out, "train")
+        p_key, cache_g = bias_posterior(heads.g, se.key_out)
         _, ce_u = mlp_backward(heads.g, cache_g,
                                cross_entropy_grad_logits(p_key, b))
         _, conf_u = mlp_backward(heads.g, cache_g,
@@ -282,7 +282,7 @@ class TestTrainStep:
         b = ds.b[::2]
         cfg = tiny_config(weights=LossWeights(gamma=20.0, delta=0.9, lam=1.0, mu=1.0))
         state = init_state(cfg, x.shape[1])
-        u, _ = mlp_forward(state.model.key_net, x, "train")
+        u, _ = mlp_forward(state.model.key_net, x)
         # least-squares linear read-out of b; the margin sets its sign
         readout = np.linalg.lstsq(np.c_[u, np.ones(b.size)], 2.0 * b - 1.0,
                                   rcond=None)[0]
@@ -429,6 +429,11 @@ class TestFit:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=1, lr_main=0.0)
 
+    def test_fewer_than_two_samples_refused_before_allocating(self):
+        # no rows, and a width whose nets would take hundreds of TiB
+        with pytest.raises(ConfigError, match="two samples"):
+            fit(tiny_config(), Dataset(X=np.empty((0, 10 ** 12))))
+
 
 class TestCheckpoints:
     def test_round_trip_zero_ulp(self, tmp_path):
@@ -449,9 +454,8 @@ class TestCheckpoints:
         assert back.history == state.history
         assert back.config == state.config
         # saving the restored state reproduces the file byte for byte
-        path2 = str(tmp_path / "ck2.invsen")
-        save_checkpoint(back, path2)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        save_checkpoint(back, str(tmp_path / "ck2.invsen"))
+        assert (tmp_path / "ck.invsen").read_bytes() == (tmp_path / "ck2.invsen").read_bytes()
 
     @pytest.mark.parametrize("kw", [
         dict(bias_batchnorm=False),
@@ -470,13 +474,16 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("edit, match", [
         (lambda m: m.update(version=1), "version"),
-        # the previous format: version 2, whose config holds swap_roles
+        # version 2, whose config holds swap_roles
         (lambda m: (m.update(version=2), m["config"].update(swap_roles=False)), "version"),
+        # the previous format: version 3, whose config holds checkpoint_path
+        (lambda m: (m.update(version=3), m["config"].update(checkpoint_path=None)),
+         "unsupported version 3"),
         (lambda m: m["config"].update(hidden=[10, 9]), "layout"),
         (lambda m: m["config"].update(bias_batchnorm=False), "layout"),
         (lambda m: m.update(in_dim=11), "layout"),
         (lambda m: m.update(in_dim=-10 ** 6), "builds no arrays"),
-    ], ids=["version-1", "version-2", "hidden", "batchnorm", "in-dim", "negative-in-dim"])
+    ], ids=["version-1", "version-2", "version-3", "hidden", "batchnorm", "in-dim", "negative-in-dim"])
     def test_manifest_that_does_not_match_refused(self, tmp_path, edit, match):
         path = tmp_path / "ck.invsen"
         save_checkpoint(fit(tiny_config(epochs=1), toy_dataset()), str(path))
@@ -497,9 +504,23 @@ class TestCheckpoints:
     def test_layout_counts_the_state_arrays(self, kw):
         cfg = tiny_config(**kw)
         state = init_state(cfg, 9)
-        n_main, n_bias, n_payload = _layout(cfg, 9)
+        n_main, n_bias = _layout(cfg, 9)
         assert (n_main, n_bias) == (state.opt_main.params.size, state.opt_bias.params.size)
-        assert n_payload == sum(a.size for _, a in _state_arrays(state))
+        assert 3 * (n_main + n_bias) == sum(a.size for _, a in _state_arrays(state))
+
+    def test_payload_is_the_six_optimizer_vectors(self, tmp_path):
+        cfg = tiny_config(epochs=2, alpha_learnable=True,
+                          weights=LossWeights(gamma=20.0, delta=0.9, lam=0.5, mu=1.0))
+        state = fit(cfg, toy_dataset())
+        path = tmp_path / "ck.invsen"
+        save_checkpoint(state, str(path))
+        raw = path.read_bytes()
+        vectors = [state.opt_main.params, state.opt_main.m, state.opt_main.v,
+                   state.opt_bias.params, state.opt_bias.m, state.opt_bias.v]
+        assert raw[16 + int.from_bytes(raw[8:16], "little"):] == np.concatenate(
+            vectors).astype("<f8").tobytes()
+        assert [e["name"] for e in read_manifest(path)["arrays"]] == [
+            f"{opt}.{part}" for opt in ("opt_main", "opt_bias") for part in ("params", "m", "v")]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.invsen"
@@ -511,8 +532,8 @@ class TestCheckpoints:
         state = fit(tiny_config(epochs=1), toy_dataset())
         path = str(tmp_path / "ck.invsen")
         save_checkpoint(state, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-16])
+        blob = (tmp_path / "ck.invsen").read_bytes()
+        (tmp_path / "ck.invsen").write_bytes(blob[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
