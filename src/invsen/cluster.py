@@ -3,11 +3,12 @@ full coefficient matrix, symmetric normalized Laplacian, its k smallest
 eigenvectors by seeded Lanczos iteration (ARPACK's `eigsh`; a dense `eigh`
 only for k = n), and k-means on the row-normalized spectral embedding.
 
-The n x n passes run in BLOCK-row blocks or BLOCK x BLOCK tile pairs, in
-place where they can: the affinity is one n x n array and the Laplacian
-one more, and the exact symmetry checks make no n x n temporary. Every
-entry is computed by the same arithmetic as the plain whole-array
-expressions, so the results are the same bits.
+The affinity is the one n x n array an evaluation makes. It is built in
+place in BLOCK-row blocks and BLOCK x BLOCK tile pairs, by the same
+arithmetic as the plain whole-array expressions, so it is the same bits;
+its exact symmetry check makes no n x n temporary either. The Laplacian
+is never formed: it is an operator over the affinity whose Lanczos
+mat-vecs read only one triangle of it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.linalg.blas import dsymv
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import ConfigError, NumericsError, ShapeError
 from .numkit import make_rng, mlp_forward, normalize_rows
@@ -25,6 +27,10 @@ from .sennet import SEModel
 # pair is 256 KB. At n = 3000 on a Xeon with 2 MB of L2 per core, 64 and
 # 128 time alike for the row passes and 128 is fastest for the tile pairs.
 BLOCK = 128
+
+# Orthonormality bound of the eigenvectors, and the floor of their
+# residual bound.
+EIG_TOL = 1e-8
 
 
 @dataclass
@@ -115,51 +121,67 @@ def _check_affinity(a: np.ndarray) -> None:
         raise NumericsError("affinity has a nonzero diagonal")
 
 
-def normalized_laplacian(a: np.ndarray) -> np.ndarray:
+def normalized_laplacian(a: np.ndarray) -> LinearOperator:
     """Symmetric normalized Laplacian L = I - D^(-1/2) A D^(-1/2) of a
-    symmetric non-negative affinity, eigenvalues in [0, 2]; zero-degree
-    vertices get a 0 entry in D^(-1/2) (their row reduces to the identity
-    row).
+    symmetric non-negative affinity, eigenvalues in [0, 2], as a float64
+    operator; zero-degree vertices get a 0 entry in D^(-1/2) (their row
+    reduces to the identity row).
+
+    L is never formed. A product with a vector is
+    x - D^(-1/2) A D^(-1/2) x, where BLAS `dsymv` reads only one triangle
+    of A; a product with a matrix is the same expression through a full
+    matmul. The operator keeps the checked affinity, not a copy of it: a
+    C- or Fortran-ordered A is used as it is, any other layout is copied
+    once.
     """
     a = np.asarray(a, dtype=float)
     _check_affinity(a)
     deg = a.sum(axis=1)
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
-    # -(D^-1/2 A D^-1/2), one row block at a time; exactly symmetric, as
-    # outer is
-    lap = np.empty_like(a)
-    for i in range(0, a.shape[0], BLOCK):
-        rows = lap[i:i + BLOCK]
-        np.multiply.outer(dinv[i:i + BLOCK], dinv, out=rows)
-        rows *= a[i:i + BLOCK]
-        np.negative(rows, out=rows)
-    np.fill_diagonal(lap, 1.0 + np.diag(lap))
-    return lap
+    # A = A^T exactly, so any Fortran-ordered form of it serves; a
+    # C-ordered A's transpose is one, which f2py passes without a copy
+    af = a.T if a.flags.c_contiguous else np.asfortranarray(a)
+
+    def matvec(x):
+        x = x.reshape(-1)  # a one-column matrix comes as (n, 1)
+        return x - dinv * dsymv(1.0, af, dinv * x, lower=1)
+
+    def matmat(x):
+        return x - dinv[:, None] * (af @ (dinv[:, None] * x))
+
+    return LinearOperator(a.shape, matvec=matvec, matmat=matmat, dtype=float)
 
 
-def smallest_eigenvectors(lap: np.ndarray, k: int, tol: float = 1e-8):
-    """The k smallest eigenpairs of an exactly symmetric matrix.
+def smallest_eigenvectors(lap: np.ndarray | LinearOperator, k: int):
+    """The k smallest eigenpairs of a symmetric matrix: an exactly
+    symmetric array, or an operator whose entries lie in [-1, 1], such as
+    `normalized_laplacian` returns.
 
     Returns (values ascending, vectors (n, k)). ARPACK's Lanczos solver
     (`eigsh`, which="SA", tol=0) finds them, starting and restarting from
     the fixed stream make_rng(0, "eigsh"); a dense `eigh` runs only for
-    k = n, where ARPACK cannot. Columns are orthonormal within tol and
-    sign-fixed (largest-magnitude entry positive) so the output is a
-    deterministic function of the input.
+    k = n, where ARPACK cannot (of `lap @ I` for an operator). Columns are
+    orthonormal within EIG_TOL and sign-fixed (largest-magnitude entry
+    positive) so the output is a deterministic function of the input.
     """
-    lap = np.asarray(lap, dtype=float)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+    dense = not isinstance(lap, LinearOperator)
+    if dense:
+        lap = np.asarray(lap, dtype=float)
+    if len(lap.shape) != 2 or lap.shape[0] != lap.shape[1]:
         raise ShapeError(f"matrix must be square, got {lap.shape}")
     n = lap.shape[0]
     if k < 1 or k > n:
         raise ShapeError(f"k={k} out of range for n={n}")
-    if not _is_symmetric(lap):
+    if dense and not _is_symmetric(lap):
         raise NumericsError("matrix is not symmetric")
     rng = make_rng(0, "eigsh")
     try:
-        vals, vecs = np.linalg.eigh(lap) if k == n else eigsh(
-            lap, k, which="SA", tol=0, v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+        if k == n:
+            vals, vecs = np.linalg.eigh(lap if dense else lap @ np.eye(n))
+        else:
+            vals, vecs = eigsh(lap, k, which="SA", tol=0,
+                               v0=rng.uniform(-1.0, 1.0, n), rng=rng)
     except (np.linalg.LinAlgError, ArpackError) as exc:
         raise NumericsError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(vals)
@@ -168,8 +190,9 @@ def smallest_eigenvectors(lap: np.ndarray, k: int, tol: float = 1e-8):
     vecs = vecs * np.where(lead < 0, -1.0, 1.0)
     gram_err = np.abs(vecs.T @ vecs - np.eye(k)).max()
     resid = np.abs(lap @ vecs - vecs * vals).max()
-    scale = max(lap.max(), -lap.min())  # max |lap| without an n x n temporary
-    if gram_err > tol or resid > max(tol, 1e-6 * max(1.0, scale)):
+    # max |entry| (a normalized Laplacian's is 1), no n x n temporary
+    scale = max(lap.max(), -lap.min()) if dense else 1.0
+    if gram_err > EIG_TOL or resid > max(EIG_TOL, 1e-6 * max(1.0, scale)):
         raise NumericsError(
             f"eigenvector residuals too large (orthonormality {gram_err:.2e}, "
             f"residual {resid:.2e})")

@@ -78,6 +78,22 @@ def ref_adam_arrays_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps
 
 
 # ---------------------------------------------------------------------------
+# normalized Laplacian, as one dense array
+# ---------------------------------------------------------------------------
+
+def ref_normalized_laplacian(a):
+    """I - A / sqrt(outer(d, d)) with d the degrees, whole-array; a pair
+    with a zero-degree end gets 0, so that vertex's row and column are the
+    identity's. Exactly symmetric when A is."""
+    a = np.asarray(a, dtype=float)
+    deg = a.sum(axis=1)
+    dd = np.sqrt(np.outer(deg, deg))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.where(dd > 0.0, a / dd, 0.0)
+    return np.eye(a.shape[0]) - scaled
+
+
+# ---------------------------------------------------------------------------
 # dense symmetric eigensolver: cyclic Jacobi rotations
 # ---------------------------------------------------------------------------
 

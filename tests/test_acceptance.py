@@ -491,7 +491,8 @@ class TestCriterion8:
         ck2 = str(tmp_path / "b.invsen")
         save_checkpoint(s1, ck1)
         save_checkpoint(load_checkpoint(ck1), ck2)
-        ckpt_ok = open(ck1, "rb").read() == open(ck2, "rb").read()
+        ckpt_ok = ((tmp_path / "a.invsen").read_bytes()
+                   == (tmp_path / "b.invsen").read_bytes())
 
         elapsed = time.time() - t0
         ok = dataset_ok and run_ok and ckpt_ok and elapsed < 120.0

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -18,7 +23,7 @@ from invsen.evalmetrics import accuracy
 from invsen.numkit import make_rng, normalize_rows
 from invsen.sennet import coefficient_matrix, init_se_model
 
-from oracles import jacobi_eigh, kmeans_bruteforce
+from oracles import jacobi_eigh, kmeans_bruteforce, ref_normalized_laplacian
 
 
 def block_affinity(sizes, rng, lo=0.5, hi=1.0, permute=True):
@@ -107,31 +112,48 @@ class TestAffinity:
 
 class TestNormalizedLaplacian:
     def test_two_node_graph(self):
-        lap = normalized_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        lap = normalized_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]])) @ np.eye(2)
         assert np.allclose(lap, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
         vals = np.linalg.eigvalsh(lap)
         assert np.allclose(vals, [0.0, 2.0], atol=1e-12)
 
     def test_block_diagonal_zero_multiplicity(self):
         a, _ = block_affinity([4, 5, 3], make_rng(2, "blk"), permute=False)
-        lap = normalized_laplacian(a)
-        vals = np.linalg.eigvalsh(lap)
+        vals = np.linalg.eigvalsh(normalized_laplacian(a) @ np.eye(12))
         assert np.sum(np.abs(vals) < 1e-10) == 3
 
     def test_elementwise_formula(self):
         a, _ = block_affinity([6, 6], make_rng(3, "blk"))
-        lap = normalized_laplacian(a)
-        deg = a.sum(axis=1)
-        expected = np.eye(12) - a / np.sqrt(np.outer(deg, deg))
-        assert np.abs(lap - expected).max() < 1e-12
+        lap = normalized_laplacian(a) @ np.eye(12)
+        assert np.abs(lap - ref_normalized_laplacian(a)).max() <= 1e-15
         vals = np.linalg.eigvalsh(lap)
         assert vals.min() > -1e-12 and vals.max() < 2.0 + 1e-12
 
     def test_isolated_vertex(self):
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0
-        lap = normalized_laplacian(a)
+        lap = normalized_laplacian(a) @ np.eye(3)
         assert lap[2, 2] == 1.0 and lap[2, 0] == 0.0  # zero-degree row
+
+    @pytest.mark.parametrize("isolated", [False, True])
+    def test_matches_plain_expression(self, trained_affinity, isolated):
+        a = trained_affinity[0].copy()
+        if isolated:
+            a[7, :] = a[:, 7] = 0.0
+        n = a.shape[0]
+        lap = normalized_laplacian(a)
+        expected = ref_normalized_laplacian(a)
+        # the matrix product (a full matmul) ...
+        assert np.abs(lap @ np.eye(n) - expected).max() <= 1e-15
+        # ... and the vector product Lanczos makes (one triangle of A),
+        # for a vector and for a one-column matrix
+        x = make_rng(32, "x").uniform(-1.0, 1.0, n)
+        assert np.abs(lap @ x - expected @ x).max() <= 1e-14
+        assert np.array_equal(lap @ x[:, None], (lap @ x)[:, None])
+        if isolated:
+            row = np.zeros(n)
+            row[7] = 1.0
+            assert np.array_equal(lap @ row, row)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(NumericsError):
@@ -181,6 +203,13 @@ class TestSmallestEigenvectors:
         with pytest.raises(ShapeError):
             smallest_eigenvectors(np.eye(3), 4)
 
+    def test_operator_with_k_equal_n(self):
+        a, _ = block_affinity([4, 3], make_rng(27, "blk"))
+        vals, vecs = smallest_eigenvectors(normalized_laplacian(a), 7)
+        ref = ref_normalized_laplacian(a)
+        assert np.abs(vals - np.linalg.eigvalsh(ref)).max() < 1e-12
+        assert np.abs(ref @ vecs - vecs * vals).max() < 1e-12
+
 
 def dense_smallest(lap, k):
     """Oracle: all eigenpairs by dense eigh, the first k sign-fixed."""
@@ -207,9 +236,8 @@ def trained_affinity():
 class TestLanczosSolver:
     def test_matches_dense_on_trained_affinity(self, trained_affinity):
         a, truth = trained_affinity
-        lap = normalized_laplacian(a)
-        vals, vecs = smallest_eigenvectors(lap, 3)
-        ref_vals, ref_vecs = dense_smallest(lap, 3)
+        vals, vecs = smallest_eigenvectors(normalized_laplacian(a), 3)
+        ref_vals, ref_vecs = dense_smallest(ref_normalized_laplacian(a), 3)
         assert np.abs(vals - ref_vals).max() < 1e-8
         assert np.abs(vecs - ref_vecs).max() < 1e-8
         cfg = SpectralConfig(k=3, seed=4)
@@ -241,18 +269,60 @@ class TestLanczosSolver:
 
     def test_asymmetric_matrix_rejected(self):
         # off by far less than the residual check would notice
-        lap = normalized_laplacian(block_affinity([15, 15], make_rng(21, "blk"))[0])
+        lap = ref_normalized_laplacian(block_affinity([15, 15], make_rng(21, "blk"))[0])
         lap[0, 1] += 1e-13
         with pytest.raises(NumericsError, match="not symmetric"):
             smallest_eigenvectors(lap, 2)
 
     @pytest.mark.parametrize("where", TILE_PROBES)
     def test_asymmetric_entry_in_any_tile_rejected(self, where):
-        lap = normalized_laplacian(block_affinity(TILED_SIZES, make_rng(26, "blk"))[0])
+        lap = ref_normalized_laplacian(block_affinity(TILED_SIZES, make_rng(26, "blk"))[0])
         i, j = where(lap.shape[0])
         lap[i, j] += 1e-13
         with pytest.raises(NumericsError, match="not symmetric"):
             smallest_eigenvectors(lap, 2)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_no_n_by_n_array_made(self, trained_affinity, order):
+        # a formed Laplacian would be one more n x n array, and an f2py copy
+        # of a wrongly ordered affinity one per mat-vec
+        a = np.asarray(trained_affinity[0], order=order)
+        cfg = SpectralConfig(k=3, seed=0)
+        tracemalloc.start()
+        try:
+            spectral_cluster(a, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4
+
+    def test_layout_does_not_change_labels(self, trained_affinity):
+        a = trained_affinity[0]
+        strided = np.zeros((a.shape[0], 2 * a.shape[1]))[:, ::2]
+        strided[...] = a
+        assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+        cfg = SpectralConfig(k=3, seed=0)
+        labels = spectral_cluster(a, cfg).labels
+        for other in (np.asfortranarray(a), strided):
+            assert np.array_equal(spectral_cluster(other, cfg).labels, labels)
+
+    def test_labels_do_not_depend_on_blas_threads(self, trained_affinity, tmp_path):
+        # dsymv sums per-thread partial products, so the eigenvectors' last
+        # bits can follow the thread count; the labels must not
+        path = tmp_path / "affinity.npy"
+        np.save(path, trained_affinity[0])
+        script = ("import sys, numpy as np\n"
+                  "from invsen.cluster import SpectralConfig, spectral_cluster\n"
+                  "a = np.load(sys.argv[1])\n"
+                  "print(spectral_cluster(a, SpectralConfig(k=3, seed=0)).labels.tolist())\n")
+        out = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path)], capture_output=True,
+                text=True, timeout=120, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
 
     def test_no_convergence_is_numerics_error(self, monkeypatch):
         def stalled(*args, **kwargs):
@@ -277,20 +347,6 @@ class TestInPlaceForms:
         a = build_affinity(model, x)
         assert 0.1 < np.count_nonzero(a) / a.size < 0.9
         assert a.tobytes() == (np.abs(c) + np.abs(c.T)).tobytes()
-
-    @pytest.mark.parametrize("isolated", [False, True])
-    def test_laplacian_matches_plain_expression(self, trained_affinity, isolated):
-        a = trained_affinity[0].copy()
-        if isolated:
-            a[7, :] = a[:, 7] = 0.0
-        deg = a.sum(axis=1)
-        with np.errstate(divide="ignore"):
-            dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
-        expected = -(a * np.outer(dinv, dinv))
-        np.fill_diagonal(expected, 1.0 + np.diag(expected))
-        lap = normalized_laplacian(a)
-        assert lap.tobytes() == expected.tobytes()
-        assert max(lap.max(), -lap.min()) == np.abs(lap).max()
 
 
 class TestKmeans:
