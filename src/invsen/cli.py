@@ -57,21 +57,26 @@ def _load_config_file(path, known_keys):
     return cfg
 
 
-def _merge(args, defaults, config_path_attr="config"):
-    """Resolve option values: explicit flag > config file > default."""
-    cfg = {}
-    path = getattr(args, config_path_attr, None)
-    if path:
-        cfg = _load_config_file(path, set(defaults))
+def _merge(args, options):
+    """Resolve option values (explicit flag > config file > default) and
+    convert each with its option's converter. options maps a key to
+    (converter, default); an option whose default is None and that nothing
+    sets stays None. A value that does not convert is a ConfigError that
+    names the option."""
+    from .errors import ConfigError
+    path = getattr(args, "config", None)
+    cfg = _load_config_file(path, set(options)) if path else {}
     out = {}
-    for key, default in defaults.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            out[key] = flag_val
-        elif key in cfg:
-            out[key] = cfg[key]
-        else:
-            out[key] = default
+    for key, (convert, default) in options.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = cfg.get(key, default)
+        if value is not None or default is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"option {key!r}: cannot read {value!r} ({exc})") from exc
+        out[key] = value
     return out
 
 
@@ -94,10 +99,11 @@ def _fmt(v) -> str:
 # gen-data
 # ---------------------------------------------------------------------------
 
-GEN_DEFAULTS = {
-    "k": 3, "d": 30, "rank": 4, "n_per": 200, "sigma": 0.01,
-    "bias_strength": 0.0, "e": 0.1, "test_e": 0.5, "label_flip": 0.0,
-    "mode": "ood", "mixed_ratio": 0.5, "seed": 0,
+GEN_OPTIONS = {
+    "k": (int, 3), "d": (int, 30), "rank": (int, 4), "n_per": (int, 200),
+    "sigma": (float, 0.01), "bias_strength": (float, 0.0), "e": (float, 0.1),
+    "test_e": (float, 0.5), "label_flip": (float, 0.0), "mode": (str, "ood"),
+    "mixed_ratio": (float, 0.5), "seed": (int, 0),
 }
 
 
@@ -105,20 +111,19 @@ def cmd_gen_data(args) -> int:
     from . import datagen
     from .evalmetrics import discrete_mi
 
-    opts = _merge(args, GEN_DEFAULTS)
+    opts = _merge(args, GEN_OPTIONS)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     config = datagen.DataGenConfig(
-        k_subspaces=int(opts["k"]), ambient_dim=int(opts["d"]),
-        subspace_rank=int(opts["rank"]), n_per_cluster=int(opts["n_per"]),
-        noise_sigma=float(opts["sigma"]), bias_strength=float(opts["bias_strength"]),
-        bias_flip_e=float(opts["e"]), label_flip=float(opts["label_flip"]),
-        seed=int(opts["seed"]))
+        k_subspaces=opts["k"], ambient_dim=opts["d"], subspace_rank=opts["rank"],
+        n_per_cluster=opts["n_per"], noise_sigma=opts["sigma"],
+        bias_strength=opts["bias_strength"], bias_flip_e=opts["e"],
+        label_flip=opts["label_flip"], seed=opts["seed"])
 
     mode = opts["mode"]
     if mode == "ood":
-        splits = datagen.make_ood_split(config, train_e=float(opts["e"]),
-                                        test_e=float(opts["test_e"]))
+        splits = datagen.make_ood_split(config, train_e=opts["e"],
+                                        test_e=opts["test_e"])
         files = {name: os.path.join(out_dir, f"{name}.csv")
                  for name in ("train", "test")}
         for name, ds in splits.items():
@@ -130,8 +135,8 @@ def cmd_gen_data(args) -> int:
         datagen.save_dataset(ds, files["data"])
         datasets = {"data": ds}
     elif mode == "mixed":
-        ds = datagen.make_mixed_domain(config, e_biased=float(opts["e"]),
-                                       n_ratio=float(opts["mixed_ratio"]))
+        ds = datagen.make_mixed_domain(config, e_biased=opts["e"],
+                                       n_ratio=opts["mixed_ratio"])
         files = {"mixed": os.path.join(out_dir, "mixed.csv")}
         datagen.save_dataset(ds, files["mixed"])
         datasets = {"mixed": ds}
@@ -154,20 +159,23 @@ def cmd_gen_data(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-TRAIN_DEFAULTS = {
-    "epochs": 200, "batch_size": 128, "lr_main": 1e-3, "lr_bias": 1e-4,
-    "gamma": 200.0, "delta": 0.9, "lam": 0.0, "mu": 1.0, "seed": 0,
-    "eval_every": 1, "widths": "64,64,64", "embed_dim": 64,
-    "bias_widths": "64,32,16", "bias_batchnorm": 1, "bias_warmup": 0,
-    "n_bias_classes": 2, "alpha": 1.0,
-    "alpha_learnable": False, "beta0": 0.005,
-}
-
-
-def _parse_widths(value) -> tuple:
+def _widths(value) -> tuple:
+    """Layer widths from "64,32" or a list."""
     if isinstance(value, (list, tuple)):
         return tuple(int(v) for v in value)
     return tuple(int(v) for v in str(value).split(",") if v.strip())
+
+
+TRAIN_OPTIONS = {
+    "epochs": (int, 200), "batch_size": (int, 128), "lr_main": (float, 1e-3),
+    "lr_bias": (float, 1e-4), "gamma": (float, 200.0), "delta": (float, 0.9),
+    "lam": (float, 0.0), "mu": (float, 1.0), "seed": (int, 0),
+    "eval_every": (int, 1), "widths": (_widths, "64,64,64"), "embed_dim": (int, 64),
+    "bias_widths": (_widths, "64,32,16"),
+    "bias_batchnorm": (lambda v: bool(int(v)), 1), "bias_warmup": (int, 0),
+    "n_bias_classes": (int, 2), "alpha": (float, 1.0),
+    "alpha_learnable": (bool, False), "beta0": (float, 0.005),
+}
 
 
 def history_csv_text(history, eval_every, final_epoch) -> str:
@@ -185,22 +193,21 @@ def cmd_train(args) -> int:
     from .debias import LossWeights
     from .errors import TrainingDiverged
 
-    opts = _merge(args, TRAIN_DEFAULTS)
+    opts = _merge(args, TRAIN_OPTIONS)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     dataset = datagen.load_dataset(args.data)
     config = trainer.TrainConfig(
-        epochs=int(opts["epochs"]), batch_size=int(opts["batch_size"]),
-        lr_main=float(opts["lr_main"]), lr_bias=float(opts["lr_bias"]),
-        weights=LossWeights(gamma=float(opts["gamma"]), delta=float(opts["delta"]),
-                            lam=float(opts["lam"]), mu=float(opts["mu"])),
-        seed=int(opts["seed"]), eval_every=int(opts["eval_every"]),
-        hidden=_parse_widths(opts["widths"]), embed_dim=int(opts["embed_dim"]),
-        bias_hidden=_parse_widths(opts["bias_widths"]),
-        bias_batchnorm=bool(int(opts["bias_batchnorm"])),
-        bias_warmup_epochs=int(opts["bias_warmup"]),
-        n_bias_classes=int(opts["n_bias_classes"]), alpha=float(opts["alpha"]),
-        alpha_learnable=bool(opts["alpha_learnable"]), beta0=float(opts["beta0"]))
+        epochs=opts["epochs"], batch_size=opts["batch_size"],
+        lr_main=opts["lr_main"], lr_bias=opts["lr_bias"],
+        weights=LossWeights(gamma=opts["gamma"], delta=opts["delta"],
+                            lam=opts["lam"], mu=opts["mu"]),
+        seed=opts["seed"], eval_every=opts["eval_every"],
+        hidden=opts["widths"], embed_dim=opts["embed_dim"],
+        bias_hidden=opts["bias_widths"], bias_batchnorm=opts["bias_batchnorm"],
+        bias_warmup_epochs=opts["bias_warmup"], n_bias_classes=opts["n_bias_classes"],
+        alpha=opts["alpha"], alpha_learnable=opts["alpha_learnable"],
+        beta0=opts["beta0"])
 
     try:
         state = trainer.fit(config, dataset)
@@ -226,8 +233,9 @@ def cmd_train(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-EVAL_DEFAULTS = {
-    "k": None, "restarts": 10, "max_iter": 100, "seed": 0, "label": None,
+EVAL_OPTIONS = {
+    "k": (int, None), "restarts": (int, 10), "max_iter": (int, 100),
+    "seed": (int, 0), "label": (str, None),
 }
 
 
@@ -238,7 +246,7 @@ def cmd_evaluate(args) -> int:
     from .errors import ConfigError
     from .evalmetrics import METRIC_FIELDS, MetricsReport, evaluate_labels
 
-    opts = _merge(args, EVAL_DEFAULTS)
+    opts = _merge(args, EVAL_OPTIONS)
     if opts["k"] is None:
         raise ConfigError("--k (number of clusters) is required")
     out_dir = args.out
@@ -246,8 +254,8 @@ def cmd_evaluate(args) -> int:
     state = trainer.load_checkpoint(args.checkpoint)
     label = opts["label"] or os.path.splitext(os.path.basename(args.checkpoint))[0]
     cfg = cluster.SpectralConfig(
-        k=int(opts["k"]), kmeans_restarts=int(opts["restarts"]),
-        kmeans_max_iter=int(opts["max_iter"]), seed=int(opts["seed"]))
+        k=opts["k"], kmeans_restarts=opts["restarts"],
+        kmeans_max_iter=opts["max_iter"], seed=opts["seed"])
 
     splits = {}
     csv_lines = ["split," + MetricsReport.csv_header()]
@@ -277,7 +285,7 @@ def cmd_evaluate(args) -> int:
         "label": label,
         "splits": splits,
         "meta": {"checkpoint": args.checkpoint, "created_unix": int(time.time()),
-                 "k": int(opts["k"]), "seed": int(opts["seed"])},
+                 "k": opts["k"], "seed": opts["seed"]},
     }
     _write_text_atomic(os.path.join(out_dir, "metrics.json"),
                        json.dumps(payload, indent=2, sort_keys=True) + "\n")

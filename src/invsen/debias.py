@@ -80,14 +80,13 @@ class BiasHeads:
 
 
 def init_bias_heads(embed_dim: int, hidden=(64, 32, 16), n_bias_classes: int = 2,
-                    batchnorm: bool = True,
-                    rng: np.random.Generator | None = None,
+                    batchnorm: bool = True, *, rng: np.random.Generator,
                     out: np.ndarray | None = None) -> BiasHeads:
     """Heads are MLPs with ReLU between the dense layers and a bare linear
     classification layer on top; batchnorm=True (the default) normalizes
-    between the dense layers. The head_parameter_arrays are consecutive
-    views of out (a flat vector of the right length, such as an optimizer's
-    parameter vector) or of a new vector.
+    between the dense layers. Head g and head g' are consecutive views of
+    out (a flat vector laid out as head_vector_layout says, such as an
+    optimizer's parameter vector) or of a new vector.
 
     batchnorm=False ties the head's confidence to the bias amplitude left in
     the embeddings; with normalization the head can stay saturated on an
@@ -98,8 +97,6 @@ def init_bias_heads(embed_dim: int, hidden=(64, 32, 16), n_bias_classes: int = 2
     """
     if n_bias_classes < 2:
         raise ConfigError("need at least two bias classes")
-    if rng is None:
-        rng = numkit.make_rng(0, "bias-heads")
     dims = [embed_dim, *hidden, n_bias_classes]
     acts = ["relu"] * len(hidden) + ["none"]
     bn = [batchnorm] * len(hidden) + [False]
@@ -271,9 +268,3 @@ def head_accuracy(probs: np.ndarray, labels) -> float:
     probs = np.asarray(probs, dtype=float)
     labels = _check_labels(probs, labels)
     return float((probs.argmax(axis=1) == labels).mean())
-
-
-def head_parameter_arrays(heads: BiasHeads) -> list[np.ndarray]:
-    """Arrays updated by the bias optimizer, both heads, fixed order. From
-    init_bias_heads they lie end to end in one vector, in this order."""
-    return numkit.mlp_param_arrays(heads.g) + numkit.mlp_param_arrays(heads.g_prime)

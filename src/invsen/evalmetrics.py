@@ -18,7 +18,6 @@ Conventions, spelled out because variants abound:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,9 +194,6 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in METRIC_FIELDS}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def csv_row(self) -> str:
         cells = []

@@ -1,5 +1,5 @@
 """Numerical substrate: seeded RNG streams, dense MLP layers with hand-derived
-gradients, the Adam optimizer, and a finite-difference gradient checker.
+gradients, and the Adam optimizer.
 
 Everything is float64. The MLP architecture is fixed enough (dense layers,
 optional batchnorm, relu/tanh/none activations) that the backward pass is
@@ -132,10 +132,6 @@ class MlpParams:
     def in_dim(self) -> int:
         return self.layers[0].w.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].w.shape[1]
-
 
 def mlp_shapes(dims, batchnorm) -> list[tuple]:
     """Shapes of the trainable arrays of init_mlp(dims, ..., batchnorm), in
@@ -207,18 +203,6 @@ def init_mlp(dims, activations, batchnorm, rng: np.random.Generator,
     return MlpParams(layers=layers)
 
 
-def clone_mlp(params: MlpParams) -> MlpParams:
-    """Deep copy (weights, biases, batchnorm scale and shift)."""
-    layers = []
-    for lay in params.layers:
-        bn = None
-        if lay.batchnorm is not None:
-            o = lay.batchnorm
-            bn = BatchNorm(o.scale.copy(), o.shift.copy(), o.eps)
-        layers.append(DenseLayer(lay.w.copy(), lay.b.copy(), lay.activation, bn))
-    return MlpParams(layers=layers)
-
-
 def mlp_param_arrays(params: MlpParams) -> list[np.ndarray]:
     """Trainable arrays in a fixed order: per layer w, b, then scale, shift."""
     out = []
@@ -229,22 +213,6 @@ def mlp_param_arrays(params: MlpParams) -> list[np.ndarray]:
             out.append(lay.batchnorm.scale)
             out.append(lay.batchnorm.shift)
     return out
-
-
-def set_param_arrays(params: MlpParams, arrays) -> MlpParams:
-    """Replace trainable arrays, in the mlp_param_arrays order."""
-    arrays = list(arrays)
-    expected = len(mlp_param_arrays(params))
-    if len(arrays) != expected:
-        raise ShapeError(f"expected {expected} arrays, got {len(arrays)}")
-    it = iter(arrays)
-    for lay in params.layers:
-        lay.w = np.asarray(next(it), dtype=float)
-        lay.b = np.asarray(next(it), dtype=float)
-        if lay.batchnorm is not None:
-            lay.batchnorm.scale = np.asarray(next(it), dtype=float)
-            lay.batchnorm.shift = np.asarray(next(it), dtype=float)
-    return params
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
@@ -430,71 +398,3 @@ def adam_step(state: AdamState, params, grads):
     if not np.isfinite(p).all():
         raise NumericsError("adam_step produced non-finite parameters")
     return params, state
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FiniteDiffReport:
-    max_rel_err: float
-    passed: bool
-    n_coords: int
-    worst: tuple  # (array index, flat coordinate)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def finite_diff_check(loss_and_grad, params, tolerance: float = 1e-4,
-                      h_scale: float = 1e-5, max_coords: int | None = 256,
-                      seed: int = 0) -> FiniteDiffReport:
-    """Compare analytic gradients against central finite differences.
-
-    loss_and_grad takes a list of arrays and returns (loss, grads) with
-    grads shaped like the inputs; it must be deterministic and must not
-    mutate its arguments. Each checked coordinate is perturbed by
-    h = h_scale * max(1, |p|). The relative error uses
-    |a - n| / max(|a|, |n|, 1e-3), so coordinates with near-zero gradients
-    are effectively held to an absolute tolerance.
-
-    If the parameter count exceeds max_coords, a seeded subset of
-    coordinates is checked; pass max_coords=None to check all of them.
-    """
-    params = [np.array(p, dtype=float) for p in params]
-    loss0, grads = loss_and_grad([p.copy() for p in params])
-    if not np.isfinite(loss0):
-        raise NumericsError("finite_diff_check: loss is non-finite")
-    grads = [np.asarray(g, dtype=float) for g in grads]
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeError("finite_diff_check: gradient shape mismatch")
-
-    coords = [(i, j) for i, p in enumerate(params) for j in range(p.size)]
-    if max_coords is not None and len(coords) > max_coords:
-        rng = make_rng(seed, "finite-diff")
-        picks = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(k)] for k in sorted(picks)]
-
-    max_rel = 0.0
-    worst = (-1, -1)
-    for (i, j) in coords:
-        h = h_scale * max(1.0, abs(params[i].flat[j]))
-        plus = [p.copy() for p in params]
-        plus[i].flat[j] += h
-        minus = [p.copy() for p in params]
-        minus[i].flat[j] -= h
-        lp, _ = loss_and_grad(plus)
-        lm, _ = loss_and_grad(minus)
-        if not (np.isfinite(lp) and np.isfinite(lm)):
-            raise NumericsError("finite_diff_check: perturbed loss is non-finite")
-        numeric = (lp - lm) / (2.0 * h)
-        analytic = grads[i].flat[j]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
-        if rel > max_rel:
-            max_rel = rel
-            worst = (i, j)
-    return FiniteDiffReport(max_rel_err=float(max_rel),
-                            passed=bool(max_rel < tolerance),
-                            n_coords=len(coords), worst=worst)

@@ -18,7 +18,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,8 @@ class SEModel:
     key_net: MlpParams
     query_net: MlpParams
     embed_dim: int
-    beta_raw: np.ndarray = field(
-        default_factory=lambda: np.array(softplus_inv(DEFAULT_BETA0)))
-    alpha: np.ndarray = field(default_factory=lambda: np.array(1.0))
+    beta_raw: np.ndarray
+    alpha: np.ndarray
     alpha_learnable: bool = False
 
     @property
@@ -61,19 +60,16 @@ class SEModel:
 
 def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
                   beta0: float = DEFAULT_BETA0, alpha: float = 1.0,
-                  alpha_learnable: bool = False,
-                  rng: np.random.Generator | None = None,
+                  alpha_learnable: bool = False, *, rng: np.random.Generator,
                   out: np.ndarray | None = None) -> SEModel:
     """Fresh model: hidden layers are ReLU, the embedding layer is tanh.
 
     The tanh output bounds every embedding coordinate, which keeps the
     inner products u.v in a range where the soft threshold stays active.
-    The se_parameter_arrays are consecutive views of out (a flat vector
-    of the right length, such as an optimizer's parameter vector) or of a
-    new vector.
+    The key net, query net, beta_raw and, if learnable, alpha are
+    consecutive views of out (a flat vector laid out as se_vector_layout
+    says, such as an optimizer's parameter vector) or of a new vector.
     """
-    if rng is None:
-        rng = numkit.make_rng(0, "se-model")
     if not 0.0 < alpha < np.inf:
         raise ConfigError("alpha must be positive and finite")
     if not 0.0 < beta0 < np.inf:
@@ -272,14 +268,3 @@ def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
         grad_key_out=g_key_out, grad_query_out=g_query_out,
         key_out=cache["key_out"], query_out=cache["query_out"],
         key_cache=cache["key_cache"], query_cache=cache["query_cache"])
-
-
-def se_parameter_arrays(model: SEModel) -> list[np.ndarray]:
-    """Arrays updated by the main optimizer, in a fixed order: key net, query
-    net, beta_raw, then alpha if learnable. From init_se_model they lie end
-    to end in one vector, in this order."""
-    arrays = numkit.mlp_param_arrays(model.key_net) + numkit.mlp_param_arrays(model.query_net)
-    arrays.append(model.beta_raw)
-    if model.alpha_learnable:
-        arrays.append(model.alpha)
-    return arrays

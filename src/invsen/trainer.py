@@ -116,6 +116,8 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 1")
         self.hidden = tuple(int(h) for h in self.hidden)
         self.bias_hidden = tuple(int(h) for h in self.bias_hidden)
+        if min((self.embed_dim, *self.hidden, *self.bias_hidden)) < 1:
+            raise ConfigError("embed_dim and every hidden and bias_hidden width must be >= 1")
 
 
 @dataclass
@@ -326,9 +328,10 @@ def _run_epochs(state: TrainState, x: np.ndarray, b, until_epoch: int) -> TrainS
     return state
 
 
-def fit(config: TrainConfig, dataset: Dataset) -> TrainState:
-    """Train from scratch on a dataset (features are unit-normalized per
-    sample on entry). Returns the final state."""
+def _training_data(config: TrainConfig, dataset: Dataset):
+    """(x, b): the dataset's rows scaled to unit norm and its bias labels as
+    ints (None without labels), once the dataset passes the checks that fit
+    and resume share."""
     if dataset.n < 2:
         # before init_state, which sizes the nets by the width alone
         raise ConfigError(f"training needs at least two samples, got {dataset.n}")
@@ -343,19 +346,24 @@ def fit(config: TrainConfig, dataset: Dataset) -> TrainState:
         if b.size and (b.min() < 0 or b.max() >= config.n_bias_classes):
             raise ConfigError(
                 f"bias labels must lie in [0, {config.n_bias_classes})")
+    return x, b
+
+
+def fit(config: TrainConfig, dataset: Dataset) -> TrainState:
+    """Train from scratch on a dataset (features are unit-normalized per
+    sample on entry). Returns the final state."""
+    x, b = _training_data(config, dataset)
     state = init_state(config, x.shape[1])
     return _run_epochs(state, x, b, config.epochs)
 
 
 def resume(state: TrainState, dataset: Dataset, epochs: int | None = None) -> TrainState:
     """Continue a run (e.g. one restored by load_checkpoint) up to `epochs`
-    total. Because shuffling is a pure function of (seed, epoch), a resumed
-    run retraces an uninterrupted one exactly."""
+    total, on a dataset that passes fit's checks. Because shuffling is a
+    pure function of (seed, epoch), a resumed run retraces an uninterrupted
+    one exactly."""
     until = state.config.epochs if epochs is None else epochs
-    x = normalize_rows(dataset.X)
-    b = np.asarray(dataset.b, dtype=int) if dataset.b is not None else None
-    if state.config.weights.lam > 0 and b is None:
-        raise ConfigError("training with lam > 0 requires bias labels")
+    x, b = _training_data(state.config, dataset)
     return _run_epochs(state, x, b, until)
 
 

@@ -49,10 +49,11 @@ from invsen.debias import (
     invariance_loss,
 )
 from invsen.evalmetrics import accuracy, ari, discrete_mi, nmi, subspace_preserving_rate
-from invsen.numkit import finite_diff_check, make_rng, mlp_backward, mlp_forward, normalize_rows
-from invsen.sennet import coefficient_matrix, init_se_model, se_loss, se_parameter_arrays
+from invsen.numkit import make_rng, mlp_backward, mlp_forward, normalize_rows
+from invsen.sennet import coefficient_matrix, init_se_model, se_loss
 from invsen.trainer import TrainConfig, fit, load_checkpoint, save_checkpoint
 
+from gradcheck import clone_mlp, finite_diff_check, set_param_arrays
 from oracles import (
     acc_bruteforce,
     ari_paircount,
@@ -102,8 +103,8 @@ class TestCriterion1:
                                   rng=make_rng(2, name))
 
             def loss_and_grad(arrays, net=net):
-                clone = numkit.clone_mlp(net)
-                numkit.set_param_arrays(clone, [a.copy() for a in arrays[:-1]])
+                clone = clone_mlp(net)
+                set_param_arrays(clone, [a.copy() for a in arrays[:-1]])
                 out, cache = mlp_forward(clone, arrays[-1])
                 grads, gin = mlp_backward(clone, cache, out)
                 return 0.5 * float((out ** 2).sum()), grads + [gin]
@@ -116,7 +117,7 @@ class TestCriterion1:
         xb = make_rng(3, "c1").standard_normal((6, 5))
 
         def se_param_grads(m, res):
-            # key net, query net, beta, alpha: se_parameter_arrays order
+            # key net, query net, beta, alpha: the main optimizer's order
             return (mlp_backward(m.key_net, res.key_cache, res.grad_key_out)[0]
                     + mlp_backward(m.query_net, res.query_cache, res.grad_query_out)[0]
                     + [np.array(res.grad_beta_raw), np.array(res.grad_alpha)])
@@ -125,8 +126,8 @@ class TestCriterion1:
             m = init_se_model(5, hidden=(8, 6), embed_dim=4,
                               alpha_learnable=True, rng=make_rng(4, "c1"))
             nk = len(numkit.mlp_param_arrays(m.key_net))
-            numkit.set_param_arrays(m.key_net, [a.copy() for a in arrays[:nk]])
-            numkit.set_param_arrays(m.query_net, [a.copy() for a in arrays[nk:2 * nk]])
+            set_param_arrays(m.key_net, [a.copy() for a in arrays[:nk]])
+            set_param_arrays(m.query_net, [a.copy() for a in arrays[nk:2 * nk]])
             m.beta_raw = np.asarray(arrays[2 * nk]).reshape(()).copy()
             m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, xb, gamma=10.0, delta=0.9)
@@ -134,8 +135,10 @@ class TestCriterion1:
 
         model0 = init_se_model(5, hidden=(8, 6), embed_dim=4,
                                alpha_learnable=True, rng=make_rng(4, "c1"))
-        reports["se_loss"] = finite_diff_check(se_lg, se_parameter_arrays(model0),
-                                               tolerance=tol, max_coords=None)
+        reports["se_loss"] = finite_diff_check(
+            se_lg, numkit.mlp_param_arrays(model0.key_net)
+            + numkit.mlp_param_arrays(model0.query_net) + [model0.beta_raw, model0.alpha],
+            tolerance=tol, max_coords=None)
 
         # the same with the aligned reconstruction term weighted in: every
         # contributor moved into the bias group of the sample it rebuilds
@@ -145,15 +148,17 @@ class TestCriterion1:
             m = init_se_model(5, hidden=(8, 6), embed_dim=4,
                               alpha_learnable=True, rng=make_rng(4, "c1"))
             nk = len(numkit.mlp_param_arrays(m.key_net))
-            numkit.set_param_arrays(m.key_net, [a.copy() for a in arrays[:nk]])
-            numkit.set_param_arrays(m.query_net, [a.copy() for a in arrays[nk:2 * nk]])
+            set_param_arrays(m.key_net, [a.copy() for a in arrays[:nk]])
+            set_param_arrays(m.query_net, [a.copy() for a in arrays[nk:2 * nk]])
             m.beta_raw = np.asarray(arrays[2 * nk]).reshape(()).copy()
             m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, xb, gamma=10.0, delta=0.9, shift=shift, shift_weight=0.7)
             return res.loss + 0.7 * res.l_align, se_param_grads(m, res)
 
         reports["se_loss-aligned"] = finite_diff_check(
-            se_aligned_lg, se_parameter_arrays(model0), tolerance=tol, max_coords=None)
+            se_aligned_lg, numkit.mlp_param_arrays(model0.key_net)
+            + numkit.mlp_param_arrays(model0.query_net) + [model0.beta_raw, model0.alpha],
+            tolerance=tol, max_coords=None)
 
         # bias losses through head parameters and through the embeddings
         emb = make_rng(5, "c1").standard_normal((8, 4))
@@ -164,7 +169,7 @@ class TestCriterion1:
             def lg(arrays):
                 heads = init_bias_heads(4, hidden=(6, 5), rng=make_rng(7, "c1"))
                 if through == "params":
-                    numkit.set_param_arrays(heads.g, [a.copy() for a in arrays])
+                    set_param_arrays(heads.g, [a.copy() for a in arrays])
                     e = emb
                 else:
                     e = arrays[0]
@@ -205,8 +210,8 @@ class TestCriterion1:
                                rng=make_rng(10, "c1"))
 
         def inv_params_lg(arrays):
-            net = numkit.set_param_arrays(numkit.clone_mlp(net0),
-                                          [a.copy() for a in arrays])
+            net = set_param_arrays(clone_mlp(net0),
+                                   [a.copy() for a in arrays])
             e, cache = mlp_forward(net, xi)
             e_cf, cache_cf = mlp_forward(net, xi_cf)
             g, g_cf = invariance_grads(e, e_cf)
@@ -480,9 +485,8 @@ class TestCriterion8:
 
         s1, p1 = one()
         s2, p2 = one()
-        run_ok = (all(np.array_equal(a, b) for a, b in
-                      zip(se_parameter_arrays(s1.model),
-                          se_parameter_arrays(s2.model)))
+        run_ok = (np.array_equal(s1.opt_main.params, s2.opt_main.params)
+                  and np.array_equal(s1.opt_bias.params, s2.opt_bias.params)
                   and s1.history == s2.history
                   and np.array_equal(p1.labels, p2.labels))
 

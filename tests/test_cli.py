@@ -165,6 +165,20 @@ class TestTrain:
         assert code == 2
 
 
+@pytest.mark.parametrize("command, cfg", [("train", {"epochs": "abc"}),
+                                          ("gen-data", {"k": "z"})],
+                         ids=["train-epochs", "gen-data-k"])
+def test_unreadable_config_value_exits_2(tmp_path, data_dir, capsys, command, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = ["train", "--data", str(data_dir / "train.csv")] if command == "train" else [command]
+    capsys.readouterr()
+    code = run_cli(*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and repr(next(iter(cfg))) in err
+
+
 def _drop_config(manifest):
     del manifest["config"]
 
@@ -294,6 +308,10 @@ BAD_OPTIONS = [
     *(("train", flag, "nan") for flag in ("--gamma", "--lambda", "--mu", "--alpha",
                                           "--beta0", "--lr-main", "--lr-bias")),
     ("train", "--gamma", "inf"),
+    # malformed or zero layer widths
+    ("train", "--widths", "8,x"), ("train", "--widths", "-3"),
+    ("train", "--bias-widths", "4,q"), ("train", "--widths", "0"),
+    ("train", "--embed-dim", "0"), ("train", "--bias-widths", "0"),
     ("gen-data", "--sigma", "nan"), ("gen-data", "--sigma", "inf"),
     ("gen-data", "--bias-strength", "nan"),
     ("evaluate", "--k", "0"), ("evaluate", "--restarts", "0"),

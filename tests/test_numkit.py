@@ -8,8 +8,6 @@ from invsen.errors import NumericsError, ShapeError
 from invsen.numkit import (
     adam_init,
     adam_step,
-    clone_mlp,
-    finite_diff_check,
     init_mlp,
     make_rng,
     mlp_backward,
@@ -17,9 +15,9 @@ from invsen.numkit import (
     mlp_param_arrays,
     mlp_shapes,
     normalize_rows,
-    set_param_arrays,
 )
 
+from gradcheck import clone_mlp, finite_diff_check, set_param_arrays
 from oracles import ref_adam_arrays_step, ref_adam_trajectory, ref_mlp_forward
 
 

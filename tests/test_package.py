@@ -1,0 +1,61 @@
+"""Guard: every public function, class and method of invsen has a user.
+
+Walks the syntax trees of the package, the benchmark harness and the
+demos, and fails on any public name defined in invsen that no code there
+refers to. Import statements are not uses, so a re-export in __init__.py
+does not keep a name alive; neither do the tests. A name meant for users
+needs a demo or a caller.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "invsen"
+USER_CODE = (PACKAGE, ROOT / "bench", ROOT / "demos")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def public_definitions():
+    """(qualified name, name) of each public module-level function and class
+    of the package, and of each public method of those classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not isinstance(node, kinds) or node.name.startswith("_"):
+                continue
+            yield f"{path.stem}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def used_names() -> set:
+    """Every name read as a variable or an attribute in the given trees."""
+    names = set()
+    for d in USER_CODE:
+        for path in sorted(d.rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_user():
+    defined = list(public_definitions())
+    used = used_names()
+    # the scan sees functions, classes and methods, and their uses
+    assert {("trainer.fit", "fit"), ("trainer.TrainConfig", "TrainConfig"),
+            ("evalmetrics.MetricsReport.to_dict", "to_dict")} <= set(defined)
+    assert {"fit", "TrainConfig", "to_dict"} <= used
+    unused = [qual for qual, name in defined if name not in used]
+    assert not unused, (
+        "public names of invsen that nothing in src/invsen, bench/ or demos/ "
+        f"uses: {unused}")

@@ -4,7 +4,7 @@ import pytest
 from invsen import numkit, sennet
 from invsen.debias import bias_group_shift
 from invsen.errors import ShapeError
-from invsen.numkit import DenseLayer, MlpParams, finite_diff_check, make_rng, mlp_backward
+from invsen.numkit import DenseLayer, MlpParams, make_rng, mlp_backward, mlp_param_arrays
 from invsen.sennet import (
     SEModel,
     coefficient_matrix,
@@ -12,10 +12,10 @@ from invsen.sennet import (
     elastic_net_reg,
     init_se_model,
     se_loss,
-    se_parameter_arrays,
     soft_threshold,
 )
 
+from gradcheck import finite_diff_check, set_param_arrays
 from oracles import ref_mlp_forward
 
 
@@ -130,7 +130,8 @@ class TestCoefficients:
         vec = np.empty(2 * (4 * 6 + 6 + 6 * 3 + 3) + 2)
         m = init_se_model(4, hidden=(6,), embed_dim=3, alpha=1.3, alpha_learnable=True,
                           rng=make_rng(11, "m"), out=vec)
-        arrays = se_parameter_arrays(m)
+        arrays = (mlp_param_arrays(m.key_net) + mlp_param_arrays(m.query_net)
+                  + [m.beta_raw, m.alpha])
         assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), vec)
         assert all(np.shares_memory(a, vec) for a in arrays)
         assert m.beta == pytest.approx(sennet.DEFAULT_BETA0) and float(m.alpha) == 1.3
@@ -221,8 +222,8 @@ class TestSELoss:
             m = init_se_model(5, hidden=(8, 6), embed_dim=4,
                               alpha_learnable=True, rng=make_rng(23, "m"))
             nk = len(numkit.mlp_param_arrays(m.key_net))
-            numkit.set_param_arrays(m.key_net, [a.copy() for a in arrays[:nk]])
-            numkit.set_param_arrays(m.query_net, [a.copy() for a in arrays[nk:2 * nk]])
+            set_param_arrays(m.key_net, [a.copy() for a in arrays[:nk]])
+            set_param_arrays(m.query_net, [a.copy() for a in arrays[nk:2 * nk]])
             m.beta_raw = np.asarray(arrays[2 * nk]).reshape(()).copy()
             m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, x, gamma=10.0, delta=0.9)
@@ -233,8 +234,10 @@ class TestSELoss:
 
         m0 = init_se_model(5, hidden=(8, 6), embed_dim=4, alpha_learnable=True,
                            rng=make_rng(23, "m"))
-        rep = finite_diff_check(loss_and_grad, se_parameter_arrays(m0),
-                                tolerance=1e-4, max_coords=None)
+        rep = finite_diff_check(
+            loss_and_grad,
+            mlp_param_arrays(m0.key_net) + mlp_param_arrays(m0.query_net) + [m0.beta_raw, m0.alpha],
+            tolerance=1e-4, max_coords=None)
         assert rep.passed, rep.max_rel_err
 
     def test_aligned_term_matches_explicit_loop(self):

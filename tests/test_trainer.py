@@ -17,13 +17,12 @@ from invsen.debias import (
     cross_entropy_loss,
     entropy_confusion_grad_logits,
     entropy_confusion_loss,
-    head_parameter_arrays,
     invariance_grads,
     invariance_loss,
 )
 from invsen.errors import CheckpointError, ConfigError, ShapeError, TrainingDiverged
 from invsen.numkit import DenseLayer, MlpParams, adam_init, adam_step, mlp_backward, mlp_forward, normalize_rows
-from invsen.sennet import se_loss, se_parameter_arrays
+from invsen.sennet import se_loss
 from invsen.trainer import (
     TrainConfig,
     TrainState,
@@ -37,6 +36,8 @@ from invsen.trainer import (
     save_checkpoint,
     train_step,
 )
+
+from gradcheck import clone_mlp, set_param_arrays
 
 
 def tiny_config(**kw):
@@ -86,17 +87,21 @@ def install_heads(state, g, g_prime):
     vec = flat(arrays)
     views = numkit.flat_views(vec, [a.shape for a in arrays])
     n_g = len(numkit.mlp_param_arrays(g))
-    numkit.set_param_arrays(g, views[:n_g])
-    numkit.set_param_arrays(g_prime, views[n_g:])
+    set_param_arrays(g, views[:n_g])
+    set_param_arrays(g_prime, views[n_g:])
     state.heads = BiasHeads(g=g, g_prime=g_prime)
     state.opt_bias = adam_init(vec, state.config.lr_bias)
 
 
 def assert_flat(state):
     """Every trainable array is a view of its own optimizer's vector."""
-    for arrays, own, other in (
-            (se_parameter_arrays(state.model), state.opt_main, state.opt_bias),
-            (head_parameter_arrays(state.heads), state.opt_bias, state.opt_main)):
+    model, heads = state.model, state.heads
+    main_arrays = (numkit.mlp_param_arrays(model.key_net)
+                   + numkit.mlp_param_arrays(model.query_net) + [model.beta_raw]
+                   + ([model.alpha] if model.alpha_learnable else []))
+    head_arrays = numkit.mlp_param_arrays(heads.g) + numkit.mlp_param_arrays(heads.g_prime)
+    for arrays, own, other in ((main_arrays, state.opt_main, state.opt_bias),
+                               (head_arrays, state.opt_bias, state.opt_main)):
         assert all(np.shares_memory(a, own.params) for a in arrays)
         assert not any(np.shares_memory(a, other.params) for a in arrays)
         assert np.array_equal(flat(arrays), own.params)
@@ -105,10 +110,6 @@ def assert_flat(state):
 def read_manifest(path):
     raw = path.read_bytes()
     return json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
-
-
-def params_equal(a, b):
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestTrainStep:
@@ -125,8 +126,7 @@ class TestTrainStep:
         # straight-line pure-SE step on the twin: ignore the heads entirely
         se = se_loss(twin.model, x, cfg.weights.gamma, cfg.weights.delta)
         adam_step(twin.opt_main, [twin.opt_main.params], [se_param_grads(twin.model, se)])
-        assert params_equal(se_parameter_arrays(state.model),
-                            se_parameter_arrays(twin.model))
+        assert np.array_equal(state.opt_main.params, twin.opt_main.params)
         # the heads did move, on cross-entropy
         assert state.opt_bias.t == 1
 
@@ -176,10 +176,8 @@ class TestTrainStep:
         adam_step(twin.opt_main, [twin.opt_main.params],
                   [flat(gk + gq + [se.grad_beta_raw])])
 
-        assert params_equal(se_parameter_arrays(state.model),
-                            se_parameter_arrays(twin.model))
-        assert params_equal(head_parameter_arrays(state.heads),
-                            head_parameter_arrays(twin.heads))
+        assert np.array_equal(state.opt_main.params, twin.opt_main.params)
+        assert np.array_equal(state.opt_bias.params, twin.opt_bias.params)
 
     def test_report_total_composition(self):
         ds = toy_dataset()
@@ -299,7 +297,7 @@ class TestTrainStep:
         # -lr * g / eps, so the parameter change reads the gradient itself.
         def key_step(lam):
             twin = clone_state(state)
-            install_heads(twin, numkit.clone_mlp(head), numkit.clone_mlp(head))
+            install_heads(twin, clone_mlp(head), clone_mlp(head))
             twin.opt_main.lr, twin.opt_main.eps = 1.0, 1e6
             before = [a.copy() for a in numkit.mlp_param_arrays(twin.model.key_net)]
             train_step(twin, x, b, LossWeights(gamma=20.0, delta=0.9, lam=lam, mu=1.0))
@@ -376,8 +374,7 @@ class TestFit:
         ds = toy_dataset()
         a = fit(tiny_config(), ds)
         b = fit(tiny_config(), ds)
-        assert params_equal(se_parameter_arrays(a.model),
-                            se_parameter_arrays(b.model))
+        assert np.array_equal(a.opt_main.params, b.opt_main.params)
         assert a.history == b.history
 
     def test_history_one_record_per_epoch(self):
@@ -411,8 +408,7 @@ class TestFit:
                              cfg.weights.delta)
                 adam_step(state.opt_main, [state.opt_main.params],
                           [se_param_grads(state.model, se)])
-        assert params_equal(se_parameter_arrays(full.model),
-                            se_parameter_arrays(state.model))
+        assert np.array_equal(full.opt_main.params, state.opt_main.params)
 
     def test_lam_requires_bias_labels(self):
         ds = toy_dataset()
@@ -428,6 +424,10 @@ class TestFit:
             TrainConfig(epochs=-1)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=1, lr_main=0.0)
+        for widths in (dict(embed_dim=0), dict(hidden=(8, 0)), dict(bias_hidden=(-3,))):
+            with pytest.raises(ConfigError, match="width"):
+                TrainConfig(epochs=1, **widths)
+        TrainConfig(epochs=1, hidden=(), bias_hidden=())  # no hidden layer is legal
 
     def test_fewer_than_two_samples_refused_before_allocating(self):
         # no rows, and a width whose nets would take hundreds of TiB
@@ -444,12 +444,10 @@ class TestCheckpoints:
         path = str(tmp_path / "ck.invsen")
         save_checkpoint(state, path)
         back = load_checkpoint(path)
-        assert params_equal(se_parameter_arrays(state.model),
-                            se_parameter_arrays(back.model))
-        assert params_equal(head_parameter_arrays(state.heads),
-                            head_parameter_arrays(back.heads))
-        assert params_equal([state.opt_main.m, state.opt_main.v],
-                            [back.opt_main.m, back.opt_main.v])
+        assert np.array_equal(state.opt_main.params, back.opt_main.params)
+        assert np.array_equal(state.opt_bias.params, back.opt_bias.params)
+        assert np.array_equal(state.opt_main.m, back.opt_main.m)
+        assert np.array_equal(state.opt_main.v, back.opt_main.v)
         assert back.opt_main.t == state.opt_main.t
         assert back.history == state.history
         assert back.config == state.config
@@ -548,11 +546,24 @@ class TestCheckpoints:
         resumed = resume(load_checkpoint(path), ds, epochs=6)
 
         assert resumed.epoch == 6
-        assert params_equal(se_parameter_arrays(full.model),
-                            se_parameter_arrays(resumed.model))
-        assert params_equal(head_parameter_arrays(full.heads),
-                            head_parameter_arrays(resumed.heads))
+        assert np.array_equal(full.opt_main.params, resumed.opt_main.params)
+        assert np.array_equal(full.opt_bias.params, resumed.opt_bias.params)
         assert full.history == resumed.history
+
+    @pytest.mark.parametrize("lam, bad", [
+        (1.0, lambda ds: Dataset(X=ds.X, s=ds.s, b=ds.b + 2)),
+        (0.0, lambda ds: Dataset(X=ds.X, s=ds.s, b=ds.b + 2)),
+        (1.0, lambda ds: Dataset(X=ds.X, s=ds.s, b=ds.b[:-3])),
+        (1.0, lambda ds: Dataset(X=ds.X[:1], s=ds.s[:1], b=ds.b[:1])),
+    ], ids=["labels-out-of-range", "labels-out-of-range-lam0", "labels-short",
+            "one-sample"])
+    def test_resume_runs_fits_dataset_checks(self, lam, bad):
+        ds = toy_dataset(n_per=8)
+        cfg = tiny_config(epochs=1, weights=LossWeights(gamma=20.0, delta=0.9, lam=lam))
+        state = fit(cfg, ds)
+        with pytest.raises(ConfigError):
+            resume(state, bad(ds), epochs=2)
+        assert state.epoch == 1 and len(state.history) == 1
 
 
 @pytest.fixture(scope="module")
