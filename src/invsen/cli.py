@@ -9,17 +9,22 @@ given on the command line win. All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
 import time
 
-_THREAD_LIMITER = None
+# The thread-count setter of an OpenBLAS, by build: scipy-openblas with the
+# 64-bit interface (numpy's) or the 32-bit one (scipy's), or plain OpenBLAS
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                         "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 def _apply_thread_cap() -> None:
-    """Honor INVSEN_THREADS (best effort, via threadpoolctl when present)."""
-    global _THREAD_LIMITER
+    """Honor INVSEN_THREADS: set the thread count of every OpenBLAS loaded
+    in this process through its own setter. Environment variables would
+    come too late, since importing invsen has loaded BLAS already."""
     cap = os.environ.get("INVSEN_THREADS")
     if not cap:
         return
@@ -27,13 +32,20 @@ def _apply_thread_cap() -> None:
         n = max(1, int(cap))
     except ValueError:
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
     try:
-        import threadpoolctl
-        _THREAD_LIMITER = threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        pass
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return  # no /proc: not Linux, nothing to find the libraries by
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(n)
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +67,25 @@ def _load_config_file(path, known_keys):
         if key not in known_keys:
             raise ConfigError(f"{path}: unknown config key {key!r}")
     return cfg
+
+
+def _integer(value) -> int:
+    """An integer option's value: an int, or an integral float such as 2.0.
+    A boolean, a string or a fractional number is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected an integral number")
+    return int(value)
+
+
+def _switch(value) -> bool:
+    """An on/off option's value: true, false, 0 or 1."""
+    if isinstance(value, bool):
+        return value
+    if _integer(value) not in (0, 1):
+        raise ValueError("expected true, false, 0 or 1")
+    return bool(value)
 
 
 def _merge(args, options):
@@ -100,10 +131,11 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 GEN_OPTIONS = {
-    "k": (int, 3), "d": (int, 30), "rank": (int, 4), "n_per": (int, 200),
+    "k": (_integer, 3), "d": (_integer, 30), "rank": (_integer, 4),
+    "n_per": (_integer, 200),
     "sigma": (float, 0.01), "bias_strength": (float, 0.0), "e": (float, 0.1),
     "test_e": (float, 0.5), "label_flip": (float, 0.0), "mode": (str, "ood"),
-    "mixed_ratio": (float, 0.5), "seed": (int, 0),
+    "mixed_ratio": (float, 0.5), "seed": (_integer, 0),
 }
 
 
@@ -162,19 +194,21 @@ def cmd_gen_data(args) -> int:
 def _widths(value) -> tuple:
     """Layer widths from "64,32" or a list."""
     if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
+        return tuple(_integer(v) for v in value)
     return tuple(int(v) for v in str(value).split(",") if v.strip())
 
 
 TRAIN_OPTIONS = {
-    "epochs": (int, 200), "batch_size": (int, 128), "lr_main": (float, 1e-3),
+    "epochs": (_integer, 200), "batch_size": (_integer, 128),
+    "lr_main": (float, 1e-3),
     "lr_bias": (float, 1e-4), "gamma": (float, 200.0), "delta": (float, 0.9),
-    "lam": (float, 0.0), "mu": (float, 1.0), "seed": (int, 0),
-    "eval_every": (int, 1), "widths": (_widths, "64,64,64"), "embed_dim": (int, 64),
+    "lam": (float, 0.0), "mu": (float, 1.0), "seed": (_integer, 0),
+    "eval_every": (_integer, 1), "widths": (_widths, "64,64,64"),
+    "embed_dim": (_integer, 64),
     "bias_widths": (_widths, "64,32,16"),
-    "bias_batchnorm": (lambda v: bool(int(v)), 1), "bias_warmup": (int, 0),
-    "n_bias_classes": (int, 2), "alpha": (float, 1.0),
-    "alpha_learnable": (bool, False), "beta0": (float, 0.005),
+    "bias_batchnorm": (_switch, 1), "bias_warmup": (_integer, 0),
+    "n_bias_classes": (_integer, 2), "alpha": (float, 1.0),
+    "alpha_learnable": (_switch, False), "beta0": (float, 0.005),
 }
 
 
@@ -234,8 +268,9 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 EVAL_OPTIONS = {
-    "k": (int, None), "restarts": (int, 10), "max_iter": (int, 100),
-    "seed": (int, 0), "label": (str, None),
+    "k": (_integer, None), "restarts": (_integer, 10),
+    "max_iter": (_integer, 100),
+    "seed": (_integer, 0), "label": (str, None),
 }
 
 

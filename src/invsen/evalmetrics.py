@@ -5,7 +5,12 @@ Conventions, spelled out because variants abound:
 
 * ACC maximizes the matched fraction over label bijections, computed by
   solving the assignment problem on the negated contingency table (padded
-  with zeros to square when the label counts differ).
+  with zeros to square when the label counts differ). The assignment is
+  solved in this module by shortest augmenting paths (Jonker-Volgenant
+  form of the Hungarian method, O(k^3)), not by scipy.optimize, whose
+  import adds about a third to every process's start-up. On tied costs
+  the permutation may differ from scipy's linear_sum_assignment; the
+  matched count, hence ACC, cannot.
 * NMI uses natural logs and the geometric-mean normalization
   I / sqrt(H(pred) * H(truth)). If either labeling has zero entropy the
   value is 0, except that two constant labelings (identical partitions)
@@ -21,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ShapeError
 
@@ -56,26 +60,75 @@ def contingency_table(pred, truth) -> np.ndarray:
 
 
 def optimal_assignment(cost: np.ndarray) -> np.ndarray:
-    """Permutation perm minimizing sum_i cost[i, perm[i]] (Kuhn-Munkres)."""
+    """Permutation perm minimizing sum_i cost[i, perm[i]] for a square,
+    finite cost matrix.
+
+    Shortest augmenting paths with row and column potentials (the
+    Hungarian method of Kuhn 1955 in the form of Jonker & Volgenant 1987):
+    k augmentations, each a Dijkstra search over at most k columns scanned
+    as numpy vectors, so O(k^3) work in O(k^2) vector operations. The
+    minimum cost is exact; when several permutations attain it, the one
+    returned may differ from scipy.optimize.linear_sum_assignment's, which
+    cannot change the ACC computed from it."""
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ShapeError(f"cost matrix must be square, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(cost.shape[0], dtype=int)
-    perm[rows] = cols
-    return perm
+    k = cost.shape[0]
+    u = np.zeros(k)  # row potentials
+    v = np.zeros(k)  # column potentials
+    col_of_row = np.full(k, -1)
+    row_of_col = np.full(k, -1)
+    for start in range(k):
+        # Dijkstra from row `start` over reduced costs cost[i, j] - u[i] - v[j],
+        # which the potentials keep non-negative, until a free column is reached
+        dist = np.full(k, np.inf)
+        via = np.zeros(k, dtype=int)  # row before each column on its path
+        rows_seen = np.zeros(k, dtype=bool)
+        cols_seen = np.zeros(k, dtype=bool)
+        i, reach = start, 0.0
+        while True:
+            rows_seen[i] = True
+            through_i = reach + cost[i] - u[i] - v
+            closer = ~cols_seen & (through_i < dist)
+            dist[closer] = through_i[closer]
+            via[closer] = i
+            open_dist = np.where(cols_seen, np.inf, dist)
+            reach = open_dist.min()
+            nearest = open_dist == reach
+            # among equally near columns a free one ends the search now
+            free = nearest & (row_of_col < 0)
+            j = int(np.argmax(free if free.any() else nearest))
+            cols_seen[j] = True
+            if row_of_col[j] < 0:
+                break
+            i = row_of_col[j]
+        # update the potentials so that the path's edges have reduced cost 0
+        u[start] += reach
+        rows_seen[start] = False
+        u[rows_seen] += reach - dist[col_of_row[rows_seen]]
+        v[cols_seen] -= reach - dist[cols_seen]
+        # flip the path's matched and unmatched edges, from its end back to `start`
+        while True:
+            i = via[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == start:
+                break
+    return col_of_row
 
 
 def accuracy(pred, truth) -> float:
     """Clustering accuracy: best label bijection via optimal assignment on
-    the negated (zero-padded square) contingency table."""
+    the negated (zero-padded square) contingency table of the label values
+    present, so that a large label value does not enlarge the problem."""
     pred, truth = _check_pair(pred, truth)
     n = pred.shape[0]
     if n == 0:
         raise ShapeError("accuracy needs at least one sample")
-    table = contingency_table(pred, truth)
+    table = contingency_table(np.unique(pred, return_inverse=True)[1],
+                              np.unique(truth, return_inverse=True)[1])
     size = max(table.shape)
     padded = np.zeros((size, size), dtype=np.int64)
     padded[:table.shape[0], :table.shape[1]] = table

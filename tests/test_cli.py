@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
-from invsen.cli import main
+from invsen.cli import TRAIN_OPTIONS, _merge, build_parser, main
 from invsen.cluster import build_affinity
 from invsen.datagen import load_dataset
 from invsen.trainer import load_checkpoint
@@ -165,18 +166,39 @@ class TestTrain:
         assert code == 2
 
 
-@pytest.mark.parametrize("command, cfg", [("train", {"epochs": "abc"}),
-                                          ("gen-data", {"k": "z"})],
-                         ids=["train-epochs", "gen-data-k"])
+@pytest.mark.parametrize("command, cfg", [
+    ("train", {"epochs": "abc"}),
+    ("gen-data", {"k": "z"}),
+    ("train", {"alpha_learnable": "false"}),  # bool("false") would be True
+    ("train", {"epochs": 2.7}),  # int(2.7) would train 2 epochs
+    ("train", {"bias_batchnorm": 0.5}),  # bool(int(0.5)) would be False
+    ("train", {"epochs": True}),
+    ("evaluate", {"k": "3"}),
+], ids=["train-epochs", "gen-data-k", "alpha-learnable-string", "epochs-fraction",
+        "bias-batchnorm-fraction", "epochs-boolean", "evaluate-k-string"])
 def test_unreadable_config_value_exits_2(tmp_path, data_dir, capsys, command, cfg):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    argv = ["train", "--data", str(data_dir / "train.csv")] if command == "train" else [command]
+    argv = {"train": ["train", "--data", str(data_dir / "train.csv")],
+            "evaluate": ["evaluate", "--checkpoint", "unread.invsen", "--data", "unread.csv"],
+            }.get(command, [command])
     capsys.readouterr()
     code = run_cli(*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and repr(next(iter(cfg))) in err
+
+
+def test_config_numbers_read_exactly(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"epochs": 2.0, "seed": 5, "widths": [8.0, 6],
+                                    "alpha_learnable": 1, "bias_batchnorm": False}))
+    args = build_parser().parse_args(["train", "--data", "unread.csv",
+                                      "--config", str(cfg_path), "--out", "unused"])
+    opts = _merge(args, TRAIN_OPTIONS)
+    assert opts["epochs"] == 2 and type(opts["epochs"]) is int
+    assert opts["seed"] == 5 and opts["widths"] == (8, 6)
+    assert opts["alpha_learnable"] is True and opts["bias_batchnorm"] is False
 
 
 def _drop_config(manifest):
@@ -412,10 +434,37 @@ class TestEntryPoint:
         json.loads(proc.stdout.strip().splitlines()[-1])
 
     def test_thread_cap_env(self, tmp_path):
-        env = dict(os.environ, INVSEN_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "invsen", "gen-data", "--k", "2", "--d",
-             "10", "--rank", "2", "--n-per", "8", "--mode", "plain",
-             "--seed", "2", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
+        # BLAS is loaded with its default thread count; INVSEN_THREADS alone
+        # must bring every loaded OpenBLAS down to one thread
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["INVSEN_THREADS"] = "1"
+        child = textwrap.dedent(f"""
+            import ctypes, json, os
+            from invsen.cli import main
+            code = main(["gen-data", "--k", "2", "--d", "10", "--rank", "2",
+                         "--n-per", "8", "--mode", "plain", "--seed", "2",
+                         "--out", {str(tmp_path)!r}])
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                libs = sorted({{line.split()[-1] for line in fh if "openblas" in line.lower()}})
+            counts = {{}}
+            for path in libs:
+                lib = ctypes.CDLL(path)
+                for symbol in ("scipy_openblas_get_num_threads64_",
+                               "scipy_openblas_get_num_threads",
+                               "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                    getter = getattr(lib, symbol, None)
+                    if getter is not None:
+                        getter.restype = ctypes.c_int
+                        counts[os.path.basename(path)] = getter()
+                        break
+            print(json.dumps({{"code": code, "threads": counts}}))
+            """)
+        proc = subprocess.run([sys.executable, "-c", child],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["code"] == 0
+        if sys.platform.startswith("linux"):
+            assert out["threads"], "no OpenBLAS library found in the process"
+        assert all(n == 1 for n in out["threads"].values()), out["threads"]

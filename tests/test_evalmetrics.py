@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from invsen.errors import ShapeError
 from invsen.evalmetrics import (
@@ -49,6 +52,50 @@ class TestOptimalAssignment:
         with pytest.raises(ShapeError):
             optimal_assignment(np.zeros((2, 3)))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            optimal_assignment(np.array([[0.0, np.inf], [1.0, 0.0]]))
+
+    def test_empty(self):
+        assert optimal_assignment(np.zeros((0, 0))).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda k: st.tuples(
+        st.just(k), st.one_of(
+            # few distinct integers: ties everywhere, zero and negative costs
+            st.lists(st.integers(-3, 3), min_size=k * k, max_size=k * k),
+            st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=k * k,
+                     max_size=k * k)))))
+    def test_cost_matches_bruteforce(self, case):
+        k, entries = case
+        cost = np.array(entries, dtype=float).reshape(k, k)
+        perm = optimal_assignment(cost)
+        assert sorted(perm.tolist()) == list(range(k))
+        _, best_cost = assignment_bruteforce(cost)
+        got = cost[np.arange(k), perm].sum()
+        assert got == pytest.approx(best_cost, rel=1e-12, abs=1e-6)
+
+    def test_cost_matches_scipy(self):
+        rng = make_rng(6, "lsa")
+        costs = []
+        for trial in range(60):
+            k = int(rng.integers(1, 61))
+            if trial % 3 == 0:
+                costs.append(rng.normal(size=(k, k)))
+            elif trial % 3 == 1:
+                costs.append(rng.integers(-5, 6, size=(k, k)).astype(float))
+            else:  # contingency-like: negated counts, mostly zero
+                costs.append(-rng.poisson(0.3, size=(k, k)).astype(float))
+        # cost[i, j] = i * j: each new row displaces the matching built so far
+        costs.append(np.multiply.outer(np.arange(40), np.arange(40)).astype(float))
+        for cost in costs:
+            k = cost.shape[0]
+            perm = optimal_assignment(cost)
+            assert sorted(perm.tolist()) == list(range(k))
+            rows, cols = linear_sum_assignment(cost)
+            assert cost[np.arange(k), perm].sum() == pytest.approx(
+                cost[rows, cols].sum(), rel=1e-12, abs=1e-9)
+
 
 class TestAccuracy:
     def test_identity(self):
@@ -82,6 +129,24 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             accuracy([0, 1], [0, 1, 1])
+
+    def test_matches_bruteforce_on_ties(self):
+        # two or three labels and few samples: many bijections tie
+        rng = make_rng(8, "acc-ties")
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            pred = rng.integers(0, int(rng.integers(1, 5)), size=n)
+            truth = rng.integers(0, int(rng.integers(1, 5)), size=n)
+            assert accuracy(pred, truth) == acc_bruteforce(pred, truth)
+
+    def test_sparse_label_values(self):
+        # the problem is sized by the values present: 10**9 costs what 4 does
+        rng = make_rng(9, "acc-sparse")
+        values = np.array([0, 3, 17, 1000, 10**9])
+        for _ in range(50):
+            pred = values[rng.integers(0, 5, size=12)]
+            truth = values[rng.integers(1, 4, size=12)]
+            assert accuracy(pred, truth) == acc_bruteforce(pred, truth)
 
 
 class TestNmi:

@@ -1,4 +1,5 @@
-"""Guard: every public function, class and method of invsen has a user.
+"""Guards on the package as a whole: every public function, class and
+method of invsen has a user, and importing it stays lean.
 
 Walks the syntax trees of the package, the benchmark harness and the
 demos, and fails on any public name defined in invsen that no code there
@@ -8,6 +9,8 @@ needs a demo or a caller.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +62,11 @@ def test_every_public_name_has_a_user():
     assert not unused, (
         "public names of invsen that nothing in src/invsen, bench/ or demos/ "
         f"uses: {unused}")
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize alone would add about a third to every process's start-up
+    child = "import sys, invsen; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
