@@ -1,9 +1,15 @@
 """Command-line interface: gen-data, train, evaluate, report.
 
-Exit codes: 0 success, 1 I/O or runtime failure, 2 usage/config error,
-3 training divergence. Every option can also come from a flat JSON config
-file (--config) whose keys mirror the flag names with underscores; flags
-given on the command line win. All randomness flows from --seed.
+Exit codes: 0 success, 1 I/O or runtime failure (a malformed dataset,
+checkpoint or metrics file included), 2 usage/config error (a malformed
+INVSEN_THREADS included), 3 training divergence. Each subcommand's options
+are declared once, in its option table (GEN_OPTIONS, TRAIN_OPTIONS,
+EVAL_OPTIONS): the table makes the flags and reads the flat JSON config file
+(--config), whose keys are the flag names with underscores (`lam` for
+--lambda); flags given on the command line win. Values are read exactly: a
+real option takes a number, an integer option an integral number, `mode`
+and `label` a string, and an on/off switch true, false, 0 or 1 (0|1 on the
+command line). All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -15,6 +21,13 @@ import os
 import sys
 import time
 
+import numpy as np
+
+from . import cluster, datagen, trainer
+from .debias import LossWeights
+from .errors import ConfigError, DataFormatError, InvsenError, TrainingDiverged
+from .evalmetrics import METRIC_FIELDS, MetricsReport, discrete_mi, evaluate_labels
+
 # The thread-count setter of an OpenBLAS, by build: scipy-openblas with the
 # 64-bit interface (numpy's) or the 32-bit one (scipy's), or plain OpenBLAS
 _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
@@ -24,14 +37,15 @@ _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_se
 def _apply_thread_cap() -> None:
     """Honor INVSEN_THREADS: set the thread count of every OpenBLAS loaded
     in this process through its own setter. Environment variables would
-    come too late, since importing invsen has loaded BLAS already."""
+    come too late, since importing invsen has loaded BLAS already. A value
+    that is not a positive integer is a ConfigError; unset or empty, BLAS
+    is left alone."""
     cap = os.environ.get("INVSEN_THREADS")
     if not cap:
         return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        return
+    n = int(cap) if cap.isdecimal() else 0
+    if n < 1:
+        raise ConfigError(f"INVSEN_THREADS must be a positive integer, not {cap!r}")
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -53,13 +67,12 @@ def _apply_thread_cap() -> None:
 # ---------------------------------------------------------------------------
 
 def _load_config_file(path, known_keys):
-    from .errors import ConfigError, DataFormatError
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise DataFormatError(f"invalid JSON ({exc})", path=path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config file must hold a JSON object")
@@ -69,14 +82,31 @@ def _load_config_file(path, known_keys):
     return cfg
 
 
+def _number(value):
+    """A JSON number as it is; a boolean or a string (even "2e2") is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return value
+
+
+def _real(value) -> float:
+    """A real option's value: any number."""
+    return float(_number(value))
+
+
 def _integer(value) -> int:
     """An integer option's value: an int, or an integral float such as 2.0.
     A boolean, a string or a fractional number is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("expected an integer")
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(_number(value), float) and not value.is_integer():
         raise ValueError("expected an integral number")
     return int(value)
+
+
+def _string(value) -> str:
+    """A string option's value: a string, never a number read as one."""
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
 
 
 def _switch(value) -> bool:
@@ -94,7 +124,6 @@ def _merge(args, options):
     (converter, default); an option whose default is None and that nothing
     sets stays None. A value that does not convert is a ConfigError that
     names the option."""
-    from .errors import ConfigError
     path = getattr(args, "config", None)
     cfg = _load_config_file(path, set(options)) if path else {}
     out = {}
@@ -105,7 +134,7 @@ def _merge(args, options):
         if value is not None or default is not None:
             try:
                 value = convert(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"option {key!r}: cannot read {value!r} ({exc})") from exc
         out[key] = value
     return out
@@ -133,56 +162,37 @@ def _fmt(v) -> str:
 GEN_OPTIONS = {
     "k": (_integer, 3), "d": (_integer, 30), "rank": (_integer, 4),
     "n_per": (_integer, 200),
-    "sigma": (float, 0.01), "bias_strength": (float, 0.0), "e": (float, 0.1),
-    "test_e": (float, 0.5), "label_flip": (float, 0.0), "mode": (str, "ood"),
-    "mixed_ratio": (float, 0.5), "seed": (_integer, 0),
+    "sigma": (_real, 0.01), "bias_strength": (_real, 0.0), "e": (_real, 0.1),
+    "test_e": (_real, 0.5), "label_flip": (_real, 0.0), "mode": (_string, "ood"),
+    "mixed_ratio": (_real, 0.5), "seed": (_integer, 0),
 }
 
 
 def cmd_gen_data(args) -> int:
-    from . import datagen
-    from .evalmetrics import discrete_mi
-
     opts = _merge(args, GEN_OPTIONS)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     config = datagen.DataGenConfig(
         k_subspaces=opts["k"], ambient_dim=opts["d"], subspace_rank=opts["rank"],
         n_per_cluster=opts["n_per"], noise_sigma=opts["sigma"],
         bias_strength=opts["bias_strength"], bias_flip_e=opts["e"],
         label_flip=opts["label_flip"], seed=opts["seed"])
-
+    # each mode's datasets, keyed by the name of the CSV file each is saved to
+    modes = {
+        "ood": lambda: datagen.make_ood_split(config, train_e=opts["e"], test_e=opts["test_e"]),
+        "plain": lambda: {"data": datagen.generate(config)},
+        "mixed": lambda: {"mixed": datagen.make_mixed_domain(
+            config, e_biased=opts["e"], n_ratio=opts["mixed_ratio"])},
+    }
     mode = opts["mode"]
-    if mode == "ood":
-        splits = datagen.make_ood_split(config, train_e=opts["e"],
-                                        test_e=opts["test_e"])
-        files = {name: os.path.join(out_dir, f"{name}.csv")
-                 for name in ("train", "test")}
-        for name, ds in splits.items():
-            datagen.save_dataset(ds, files[name])
-        datasets = splits
-    elif mode == "plain":
-        ds = datagen.generate(config)
-        files = {"data": os.path.join(out_dir, "data.csv")}
-        datagen.save_dataset(ds, files["data"])
-        datasets = {"data": ds}
-    elif mode == "mixed":
-        ds = datagen.make_mixed_domain(config, e_biased=opts["e"],
-                                       n_ratio=opts["mixed_ratio"])
-        files = {"mixed": os.path.join(out_dir, "mixed.csv")}
-        datagen.save_dataset(ds, files["mixed"])
-        datasets = {"mixed": ds}
-    else:
-        from .errors import ConfigError
-        raise ConfigError(f"unknown mode {mode!r} (ood | plain | mixed)")
-
+    if mode not in modes:
+        raise ConfigError(f"unknown mode {mode!r} ({' | '.join(modes)})")
+    os.makedirs(args.out, exist_ok=True)
     summary = {"mode": mode, "k": config.k_subspaces, "d": config.ambient_dim,
                "splits": {}}
-    for name, ds in datasets.items():
-        summary["splits"][name] = {
-            "path": files[name], "n": ds.n,
-            "mi_bias_cluster": discrete_mi(ds.b, ds.s),
-        }
+    for name, ds in modes[mode]().items():
+        path = os.path.join(args.out, f"{name}.csv")
+        datagen.save_dataset(ds, path)
+        summary["splits"][name] = {"path": path, "n": ds.n,
+                                   "mi_bias_cluster": discrete_mi(ds.b, ds.s)}
     print(json.dumps(summary))
     return 0
 
@@ -200,33 +210,29 @@ def _widths(value) -> tuple:
 
 TRAIN_OPTIONS = {
     "epochs": (_integer, 200), "batch_size": (_integer, 128),
-    "lr_main": (float, 1e-3),
-    "lr_bias": (float, 1e-4), "gamma": (float, 200.0), "delta": (float, 0.9),
-    "lam": (float, 0.0), "mu": (float, 1.0), "seed": (_integer, 0),
+    "lr_main": (_real, 1e-3),
+    "lr_bias": (_real, 1e-4), "gamma": (_real, 200.0), "delta": (_real, 0.9),
+    "lam": (_real, 0.0), "mu": (_real, 1.0), "seed": (_integer, 0),
     "eval_every": (_integer, 1), "widths": (_widths, "64,64,64"),
     "embed_dim": (_integer, 64),
     "bias_widths": (_widths, "64,32,16"),
     "bias_batchnorm": (_switch, 1), "bias_warmup": (_integer, 0),
-    "n_bias_classes": (_integer, 2), "alpha": (float, 1.0),
-    "alpha_learnable": (_switch, False), "beta0": (float, 0.005),
+    "n_bias_classes": (_integer, 2), "alpha": (_real, 1.0),
+    "alpha_learnable": (_switch, 0), "beta0": (_real, 0.005),
 }
 
 
 def history_csv_text(history, eval_every, final_epoch) -> str:
-    from .trainer import HISTORY_FIELDS
-    lines = [",".join(HISTORY_FIELDS)]
+    fields = trainer.HISTORY_FIELDS
+    lines = [",".join(fields)]
     for rec in history:
         epoch = rec["epoch"]
         if epoch % eval_every == 0 or epoch == final_epoch:
-            lines.append(",".join(_fmt(rec.get(k)) for k in HISTORY_FIELDS))
+            lines.append(",".join(_fmt(rec.get(k)) for k in fields))
     return "\n".join(lines) + "\n"
 
 
 def cmd_train(args) -> int:
-    from . import datagen, trainer
-    from .debias import LossWeights
-    from .errors import TrainingDiverged
-
     opts = _merge(args, TRAIN_OPTIONS)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
@@ -270,17 +276,11 @@ def cmd_train(args) -> int:
 EVAL_OPTIONS = {
     "k": (_integer, None), "restarts": (_integer, 10),
     "max_iter": (_integer, 100),
-    "seed": (_integer, 0), "label": (str, None),
+    "seed": (_integer, 0), "label": (_string, None),
 }
 
 
 def cmd_evaluate(args) -> int:
-    import numpy as np
-
-    from . import cluster, datagen, trainer
-    from .errors import ConfigError
-    from .evalmetrics import METRIC_FIELDS, MetricsReport, evaluate_labels
-
     opts = _merge(args, EVAL_OPTIONS)
     if opts["k"] is None:
         raise ConfigError("--k (number of clusters) is required")
@@ -337,15 +337,25 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_metrics_file(path):
-    from .errors import DataFormatError
+    """A metrics.json as `invsen evaluate` writes it: an optional string
+    label, and splits that map each name to an object whose metric fields
+    are numbers or null. Anything else is a DataFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if not isinstance(data, dict) or "splits" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("splits"), dict):
             raise ValueError("missing 'splits' object")
-        return data
-    except (OSError, ValueError) as exc:
+        if not isinstance(data.get("label", ""), str):
+            raise ValueError("'label' is not a string")
+        for split, entry in data["splits"].items():
+            if not isinstance(entry, dict):
+                raise ValueError(f"split {split!r} is not an object")
+            for key in METRIC_FIELDS:
+                if entry.get(key) is not None:
+                    _real(entry[key])
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise DataFormatError(f"unreadable metrics file ({exc})", path=path)
+    return data
 
 
 def _pct(v) -> str:
@@ -392,84 +402,48 @@ def cmd_report(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+# The argparse type of the flag of an option with this converter; the
+# converter then reads the flag's value as it reads a config file's.
+_FLAG_TYPES = {_integer: int, _real: float, _switch: int}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per option-table entry, --<key with dashes> (--lambda for
+    lam), plus each subcommand's fixed arguments."""
     p = argparse.ArgumentParser(prog="invsen",
                                 description="Bias-invariant self-expressive "
                                             "subspace clustering toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen-data", help="generate synthetic biased datasets")
-    g.add_argument("--config", help="flat JSON config file")
-    g.add_argument("--k", type=int)
-    g.add_argument("--d", type=int)
-    g.add_argument("--rank", type=int)
-    g.add_argument("--n-per", dest="n_per", type=int)
-    g.add_argument("--sigma", type=float)
-    g.add_argument("--bias-strength", dest="bias_strength", type=float)
-    g.add_argument("--e", type=float, help="bias flip rate of the biased split")
-    g.add_argument("--test-e", dest="test_e", type=float)
-    g.add_argument("--label-flip", dest="label_flip", type=float)
-    g.add_argument("--mode", choices=("ood", "plain", "mixed"))
-    g.add_argument("--mixed-ratio", dest="mixed_ratio", type=float)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen_data)
-
-    t = sub.add_parser("train", help="train a model on a dataset file")
-    t.add_argument("--config", help="flat JSON config file")
-    t.add_argument("--data", required=True)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch-size", dest="batch_size", type=int)
-    t.add_argument("--lr-main", dest="lr_main", type=float)
-    t.add_argument("--lr-bias", dest="lr_bias", type=float)
-    t.add_argument("--gamma", type=float)
-    t.add_argument("--delta", type=float)
-    t.add_argument("--lambda", dest="lam", type=float)
-    t.add_argument("--mu", type=float)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--eval-every", dest="eval_every", type=int)
-    t.add_argument("--widths")
-    t.add_argument("--embed-dim", dest="embed_dim", type=int)
-    t.add_argument("--bias-widths", dest="bias_widths")
-    t.add_argument("--bias-batchnorm", dest="bias_batchnorm", type=int,
-                   choices=(0, 1))
-    t.add_argument("--bias-warmup", dest="bias_warmup", type=int)
-    t.add_argument("--n-bias-classes", dest="n_bias_classes", type=int)
-    t.add_argument("--alpha", type=float)
-    t.add_argument("--alpha-learnable", dest="alpha_learnable",
-                   action="store_const", const=True)
-    t.add_argument("--beta0", type=float)
-    t.add_argument("--out", required=True)
-    t.set_defaults(func=cmd_train)
-
-    e = sub.add_parser("evaluate", help="cluster with a checkpoint, emit metrics")
-    e.add_argument("--config", help="flat JSON config file")
+    parsers = {}
+    for name, func, options, help_text in (
+            ("gen-data", cmd_gen_data, GEN_OPTIONS, "generate synthetic biased datasets"),
+            ("train", cmd_train, TRAIN_OPTIONS, "train a model on a dataset file"),
+            ("evaluate", cmd_evaluate, EVAL_OPTIONS, "cluster with a checkpoint, emit metrics"),
+            ("report", cmd_report, None, "aggregate metrics.json files into a table")):
+        s = parsers[name] = sub.add_parser(name, help=help_text)
+        s.set_defaults(func=func)
+        if options is not None:
+            s.add_argument("--config", help="flat JSON config file")
+        for key, (convert, default) in (options or {}).items():
+            s.add_argument("--lambda" if key == "lam" else "--" + key.replace("_", "-"),
+                           dest=key, type=_FLAG_TYPES.get(convert, str),
+                           choices=(0, 1) if convert is _switch else None,
+                           help=None if default is None else f"default: {default}")
+        s.add_argument("--out", required=options is not None)
+    parsers["train"].add_argument("--data", required=True)
+    e = parsers["evaluate"]
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", nargs="+", required=True)
-    e.add_argument("--k", type=int)
-    e.add_argument("--restarts", type=int)
-    e.add_argument("--max-iter", dest="max_iter", type=int)
-    e.add_argument("--seed", type=int)
-    e.add_argument("--label", help="label used in report tables")
     e.add_argument("--dump-affinity", action="store_true",
                    help="also write each split's affinity as affinity_<split>.npy")
-    e.add_argument("--out", required=True)
-    e.set_defaults(func=cmd_evaluate)
-
-    r = sub.add_parser("report", help="aggregate metrics.json files into a table")
-    r.add_argument("inputs", nargs="+")
-    r.add_argument("--out")
-    r.set_defaults(func=cmd_report)
+    parsers["report"].add_argument("inputs", nargs="+")
     return p
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
-    from .errors import (ConfigError, DataFormatError, InvsenError,
-                         TrainingDiverged)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _apply_thread_cap()
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -477,10 +451,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DataFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InvsenError as exc:
+    except (InvsenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from invsen.cli import TRAIN_OPTIONS, _merge, build_parser, main
+from invsen.cli import (EVAL_OPTIONS, GEN_OPTIONS, TRAIN_OPTIONS, _integer, _merge, _real,
+                         _string, _switch, _widths, build_parser, main)
 from invsen.cluster import build_affinity
 from invsen.datagen import load_dataset
 from invsen.trainer import load_checkpoint
@@ -174,8 +176,13 @@ class TestTrain:
     ("train", {"bias_batchnorm": 0.5}),  # bool(int(0.5)) would be False
     ("train", {"epochs": True}),
     ("evaluate", {"k": "3"}),
+    ("train", {"lam": True}),  # float(True) would train at lam = 1.0
+    ("train", {"gamma": "2e2"}),  # float("2e2") would read 200.0
+    ("train", {"gamma": 10 ** 400}),  # float() of it overflows
+    ("evaluate", {"label": 3}),  # str(3) would label the run "3"
 ], ids=["train-epochs", "gen-data-k", "alpha-learnable-string", "epochs-fraction",
-        "bias-batchnorm-fraction", "epochs-boolean", "evaluate-k-string"])
+        "bias-batchnorm-fraction", "epochs-boolean", "evaluate-k-string",
+        "lam-boolean", "gamma-string", "gamma-huge-integer", "label-number"])
 def test_unreadable_config_value_exits_2(tmp_path, data_dir, capsys, command, cfg):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -199,6 +206,89 @@ def test_config_numbers_read_exactly(tmp_path):
     assert opts["epochs"] == 2 and type(opts["epochs"]) is int
     assert opts["seed"] == 5 and opts["widths"] == (8, 6)
     assert opts["alpha_learnable"] is True and opts["bias_batchnorm"] is False
+
+
+def test_alpha_learnable_flag_overrides_config(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"alpha_learnable": True}))
+    fixed = ["train", "--data", "unread.csv", "--config", str(cfg_path), "--out", "unused"]
+    parser = build_parser()
+    assert _merge(parser.parse_args(fixed), TRAIN_OPTIONS)["alpha_learnable"] is True
+    opts = _merge(parser.parse_args([*fixed, "--alpha-learnable", "0"]), TRAIN_OPTIONS)
+    assert opts["alpha_learnable"] is False
+    with pytest.raises(SystemExit) as err:  # the switch takes 0|1, never a bare flag
+        parser.parse_args([*fixed, "--alpha-learnable"])
+    assert err.value.code == 2
+
+
+# Each option is declared once, in its subcommand's table; the parser's only
+# other arguments are these.
+TABLES = {"gen-data": GEN_OPTIONS, "train": TRAIN_OPTIONS, "evaluate": EVAL_OPTIONS}
+FIXED_ARGUMENTS = {
+    "gen-data": ["--out", "o"],
+    "train": ["--data", "d.csv", "--out", "o"],
+    "evaluate": ["--checkpoint", "c.invsen", "--data", "d.csv", "--dump-affinity", "--out", "o"],
+}
+
+
+def _sample(convert, default):
+    """A flag's text and the config value it must read as, both unlike the
+    option's default."""
+    if convert is _switch:
+        on = not _switch(default)
+        return str(int(on)), on
+    return {_integer: ("5", 5), _real: ("0.25", 0.25), _string: ("plain", "plain"),
+            _widths: ("8,6", [8, 6])}[convert]
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, table in TABLES.items() for k in table])
+def test_flag_and_config_key_read_alike(tmp_path, command, key):
+    options = TABLES[command]
+    convert, default = options[key]
+    text, value = _sample(convert, default)
+    flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    parser = build_parser()
+
+    def read(*argv):
+        return _merge(parser.parse_args([command, *FIXED_ARGUMENTS[command], *argv]), options)[key]
+
+    from_flag, from_config = read(flag, text), read("--config", str(cfg_path))
+    assert from_flag == from_config and type(from_flag) is type(from_config)
+    assert from_flag != read()
+
+
+def test_parser_has_no_option_outside_the_tables_but_the_fixed_arguments():
+    fixed = {name: {a.lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+             | {"config"} for name, argv in FIXED_ARGUMENTS.items()}
+    fixed["report"] = {"inputs", "out"}
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(fixed)
+    for name, sub in commands.items():
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        assert dests == fixed[name] | set(TABLES.get(name, ())), name
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
+def test_malformed_thread_cap_exits_2(monkeypatch, capsys, cap):
+    # refused before any BLAS library is looked up or set
+    monkeypatch.setenv("INVSEN_THREADS", cap)
+    code = run_cli("report", "unread.json")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: INVSEN_THREADS") and repr(cap) in err
+
+
+def test_config_file_not_utf8_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"epochs": "\xff"}')
+    code = run_cli("train", "--data", "unread.csv", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: ")
 
 
 def _drop_config(manifest):
@@ -336,6 +426,7 @@ BAD_OPTIONS = [
     ("train", "--embed-dim", "0"), ("train", "--bias-widths", "0"),
     ("gen-data", "--sigma", "nan"), ("gen-data", "--sigma", "inf"),
     ("gen-data", "--bias-strength", "nan"),
+    ("gen-data", "--mode", "bogus"),
     ("evaluate", "--k", "0"), ("evaluate", "--restarts", "0"),
     ("evaluate", "--max-iter", "0"),
 ]
@@ -411,11 +502,19 @@ class TestReport:
         acc_cell = csv_text.splitlines()[1].split(",")[3]
         assert len(acc_cell.split(".")[-1]) == 2
 
-    def test_malformed_metrics_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps({"splits": [1, 2]}),
+        json.dumps({"splits": {"a": 5}}),
+        json.dumps({"splits": {"a": {"acc": "x"}}}),
+        json.dumps({"splits": {"a": {"acc": 10 ** 400}}}),  # no float holds it
+    ], ids=["not-json", "splits-list", "split-number", "metric-string", "metric-too-large"])
+    def test_malformed_metrics_exits_1(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         code = run_cli("report", str(bad))
         assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_percent_formatting(self):
         from invsen.cli import _pct
