@@ -38,14 +38,16 @@ def _apply_thread_cap() -> None:
     """Honor INVSEN_THREADS: set the thread count of every OpenBLAS loaded
     in this process through its own setter. Environment variables would
     come too late, since importing invsen has loaded BLAS already. A value
-    that is not a positive integer is a ConfigError; unset or empty, BLAS
-    is left alone."""
+    that is not a positive integer below 2^31 is a ConfigError; unset or
+    empty, BLAS is left alone."""
     cap = os.environ.get("INVSEN_THREADS")
     if not cap:
         return
-    n = int(cap) if cap.isdecimal() else 0
-    if n < 1:
-        raise ConfigError(f"INVSEN_THREADS must be a positive integer, not {cap!r}")
+    # past ten significant digits n is out of range (and int() may refuse it)
+    n = int(cap) if cap.isdecimal() and len(cap.lstrip("0")) <= 10 else 0
+    if not 1 <= n < 2 ** 31:  # the setters take a C int
+        raise ConfigError(
+            f"INVSEN_THREADS must be a positive integer below 2^31, not {cap!r}")
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -202,10 +204,12 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _widths(value) -> tuple:
-    """Layer widths from "64,32" or a list."""
+    """Layer widths from "64,32", a list, or one number (one layer)."""
+    if isinstance(value, str):
+        return tuple(int(v) for v in value.split(",") if v.strip())
     if isinstance(value, (list, tuple)):
         return tuple(_integer(v) for v in value)
-    return tuple(int(v) for v in str(value).split(",") if v.strip())
+    return (_integer(value),)
 
 
 TRAIN_OPTIONS = {

@@ -230,24 +230,6 @@ def counterfactual_inputs(x: np.ndarray, labels, n_classes: int = 2) -> np.ndarr
     return x + np.where(moved[:, None], means[target] - means[labels], 0.0)
 
 
-def counterfactual_invariance(model, x: np.ndarray, labels, key_out: np.ndarray,
-                              query_out: np.ndarray, n_classes: int = 2):
-    """Embed the bias-swapped batch with both nets and compare.
-
-    key_out / query_out are the batch's own embeddings. Returns
-    (l_inv, key_cf, query_cf): l_inv is the sum of the key and query
-    invariance losses, and key_cf / query_cf are the (embeddings, cache)
-    pairs of the counterfactual forward passes, for the caller's backward
-    pass.
-    """
-    x_cf = counterfactual_inputs(x, labels, n_classes)
-    key_cf = mlp_forward(model.key_net, x_cf)
-    query_cf = mlp_forward(model.query_net, x_cf)
-    l_inv = (invariance_loss(key_out, key_cf[0])
-             + invariance_loss(query_out, query_cf[0]))
-    return l_inv, key_cf, query_cf
-
-
 def invariance_loss(emb: np.ndarray, emb_cf: np.ndarray) -> float:
     """Half the mean squared distance between each embedding and the
     embedding of its counterfactual row; zero exactly when no embedding

@@ -319,6 +319,10 @@ def _into(dst: np.ndarray, add: bool, fn, *args, **kwargs) -> None:
 # Adam
 # ---------------------------------------------------------------------------
 
+# the standard moment decay rates and denominator offset, used by every run
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam over one flat parameter vector.
@@ -335,25 +339,18 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     scratch: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
 
 
-def adam_init(params: np.ndarray, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def adam_init(params: np.ndarray, lr: float) -> AdamState:
     """Adam state for the flat float64 vector params (kept, not copied)."""
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValueError("beta1/beta2 must be in [0, 1)")
     if lr <= 0:
         raise ValueError("lr must be positive")
     if params.ndim != 1 or params.dtype != np.float64 or not params.flags.c_contiguous:
         raise ShapeError("adam_init: params must be a contiguous float64 vector")
     n = params.size
     return AdamState(lr=lr, params=params, grads=np.zeros(n), m=np.zeros(n),
-                     v=np.zeros(n), scratch=np.zeros((2, n)), beta1=beta1,
-                     beta2=beta2, eps=eps)
+                     v=np.zeros(n), scratch=np.zeros((2, n)))
 
 
 def adam_step(state: AdamState, params, grads):
@@ -374,7 +371,7 @@ def adam_step(state: AdamState, params, grads):
         raise ShapeError(f"adam_step: shapes {p.shape} and {g.shape} do not match "
                          f"the state's {state.m.shape}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     m, v, (w1, w2) = state.m, state.v, state.scratch
@@ -392,7 +389,7 @@ def adam_step(state: AdamState, params, grads):
         w1 *= state.lr
         np.divide(v, c2, out=w2)
         np.sqrt(w2, out=w2)
-        w2 += state.eps
+        w2 += ADAM_EPS
         w1 /= w2
         p -= w1
     if not np.isfinite(p).all():

@@ -253,14 +253,13 @@ def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
         g_block = g_block + shift_weight * (gamma / n) * (g_aligned - x @ resid.T)
     g_block = np.where(live, g_block, 0.0)
 
-    g_thr = alpha * g_block
+    g_thr = alpha * g_block  # zero off the live entries, so also the gradient w.r.t. s
     g_alpha = float((g_block * thr).sum())
-    g_s = np.where(live, g_thr, 0.0)
-    g_beta = float(-(g_thr * np.sign(s) * live).sum())
+    g_beta = float(-(g_thr * np.sign(s)).sum())
     g_beta_raw = g_beta * float(sigmoid(model.beta_raw))
 
-    g_query_out = g_s @ cache["key_out"]      # d s[i, j] / d v_i = u_j
-    g_key_out = g_s.T @ cache["query_out"]    # d s[i, j] / d u_j = v_i
+    g_query_out = g_thr @ cache["key_out"]      # d s[i, j] / d v_i = u_j
+    g_key_out = g_thr.T @ cache["query_out"]    # d s[i, j] / d u_j = v_i
 
     return SELossResult(
         loss=loss, recon=recon, reg=reg, l_align=l_align, coeffs=block,

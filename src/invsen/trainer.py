@@ -1,10 +1,12 @@
 """Training loop: two Adam optimizers (feature nets vs bias heads), gradient
 reversal routing, deterministic minibatching, and versioned checkpoints.
 
-Every step runs one forward pass of the batch (with lam > 0, also one of
-its bias-swapped counterfactual), sums every term's gradient at the
-embeddings, and backpropagates that sum once through each net (with
-lam > 0, also the counterfactual's invariance gradient). The terms:
+Every step runs one forward pass of the batch through both nets, then one
+pass per side of the game (key net vs head g, query net vs head g'): it
+sums every term's gradient at the side's embedding and backpropagates the
+sum once through the net (with lam > 0, also the invariance gradient of
+the bias-swapped counterfactual batch, debias.counterfactual_inputs). The
+terms:
 
 * the heads minimize cross-entropy on the bias labels (their gradients
   never reach the feature nets);
@@ -18,8 +20,8 @@ lam > 0, also the counterfactual's invariance gradient). The terms:
   target's bias group. At lam = 1 the reconstruction term is wholly the
   aligned one, which no longer rewards following the bias;
 * the key/query nets also minimize lam * the invariance loss between the
-  embeddings of the batch and those of its bias-swapped counterfactual
-  (debias.counterfactual_invariance). Its gradient reaches the nets
+  embeddings of the batch and those of its counterfactual
+  (debias.invariance_loss, key plus query). Its gradient reaches each net
   through the forward passes of both. Unlike the head terms, neither of
   these two vanishes when a head saturates.
 
@@ -42,7 +44,9 @@ length before anything is allocated.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -55,7 +59,7 @@ from .debias import (
     LossWeights,
     bias_group_shift,
     bias_posterior,
-    counterfactual_invariance,
+    counterfactual_inputs,
     cross_entropy_grad_logits,
     cross_entropy_loss,
     entropy_confusion_grad_logits,
@@ -64,6 +68,7 @@ from .debias import (
     head_vector_layout,
     init_bias_heads,
     invariance_grads,
+    invariance_loss,
 )
 from .errors import CheckpointError, ConfigError, NumericsError, ShapeError, TrainingDiverged
 from .numkit import (
@@ -72,6 +77,7 @@ from .numkit import (
     adam_step,
     make_rng,
     mlp_backward,
+    mlp_forward,
     mlp_param_arrays,
     normalize_rows,
 )
@@ -106,6 +112,13 @@ class TrainConfig:
     beta0: float = 0.005
 
     def __post_init__(self):
+        # every field annotated int, and every width, holds an integer
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "tuple") and any(
+                    isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                    for v in (value if f.type == "tuple" else (value,))):
+                raise ConfigError(f"{f.name} must be an integer or integers, not {value!r}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 2:
@@ -187,94 +200,78 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
     w = weights if weights is not None else state.config.weights
     model, heads = state.model, state.heads
     x = np.asarray(batch, dtype=float)
-    if bias_labels is None and w.lam > 0:
+    b = None if bias_labels is None else np.asarray(bias_labels)
+    if b is None and w.lam > 0:
         raise ConfigError("bias labels are required when lam > 0")
+    if b is not None and b.shape[0] != x.shape[0]:
+        raise ShapeError("batch and bias labels are misaligned")
 
-    shift = None
+    shift = x_cf = None
     if w.lam > 0:
-        # each contributor enters the reconstruction moved into its target's
-        # bias group
-        shift = bias_group_shift(x, bias_labels, heads.n_bias_classes)
+        # contributors enter the reconstruction moved into their target's bias
+        # group; the counterfactual batch moves every sample into the next one
+        shift = bias_group_shift(x, b, heads.n_bias_classes)
+        x_cf = counterfactual_inputs(x, b, heads.n_bias_classes)
     se = se_loss(model, x, w.gamma, w.delta, shift=shift, shift_weight=w.lam)
 
-    l_ce_key = l_ce_query = l_conf_key = l_conf_query = float("nan")
-    l_inv = None
-    acc = float("nan")
-    g_key_out, g_query_out = se.grad_key_out, se.grad_query_out
-    g_key, g_query, g_scalars = _segments(state.opt_main.grads,
-                                          model.key_net, model.query_net)
-    cf = None
-    if bias_labels is not None:
-        b = np.asarray(bias_labels)
-        if b.shape[0] != x.shape[0]:
-            raise ShapeError("batch and bias labels are misaligned")
-        p_key, cache_g = bias_posterior(heads.g, se.key_out)
-        p_query, cache_gp = bias_posterior(heads.g_prime, se.query_out)
-        l_ce_key = cross_entropy_loss(p_key, b)
-        l_ce_query = cross_entropy_loss(p_query, b)
-        l_conf_key = entropy_confusion_loss(p_key)
-        l_conf_query = entropy_confusion_loss(p_query)
-        acc = 0.5 * (head_accuracy(p_key, b) + head_accuracy(p_query, b))
-
-        # All gradients are taken before any parameter moves. The heads
-        # learn from the cross-entropy alone; of the confusion passes only
-        # the gradients at the embeddings are used.
-        g_g, g_gp, _ = _segments(state.opt_bias.grads, heads.g, heads.g_prime)
-        _, ce_into_u = mlp_backward(heads.g, cache_g,
-                                    cross_entropy_grad_logits(p_key, b), g_g)
-        _, ce_into_v = mlp_backward(heads.g_prime, cache_gp,
-                                    cross_entropy_grad_logits(p_query, b), g_gp)
-        if w.lam > 0:
-            _, conf_into_u = mlp_backward(heads.g, cache_g,
-                                          entropy_confusion_grad_logits(p_key),
+    *g_nets, g_scalars = _segments(state.opt_main.grads, model.key_net, model.query_net)
+    g_heads = _segments(state.opt_bias.grads, heads.g, heads.g_prime)[:2]
+    ce, conf, acc, inv = [], [], [], []
+    # one pass per side of the game: (net, head, embedding, forward cache,
+    # se_loss's gradient at the embedding, the net's and the head's gradients)
+    for net, head, emb, cache, g_emb, g_net, g_head in zip(
+            (model.key_net, model.query_net), (heads.g, heads.g_prime),
+            (se.key_out, se.query_out), (se.key_cache, se.query_cache),
+            (se.grad_key_out, se.grad_query_out), g_nets, g_heads):
+        cf = None
+        if b is not None:
+            p, h_cache = bias_posterior(head, emb)
+            ce.append(cross_entropy_loss(p, b))
+            conf.append(entropy_confusion_loss(p))
+            acc.append(head_accuracy(p, b))
+            # every gradient precedes every update; the head learns from the
+            # cross-entropy alone; the confusion pass is used at the embedding only
+            _, ce_in = mlp_backward(head, h_cache, cross_entropy_grad_logits(p, b), g_head)
+            if w.lam > 0:
+                _, conf_in = mlp_backward(head, h_cache, entropy_confusion_grad_logits(p),
                                           param_grads=False)
-            _, conf_into_v = mlp_backward(heads.g_prime, cache_gp,
-                                          entropy_confusion_grad_logits(p_query),
-                                          param_grads=False)
-            l_inv, (u_cf, cache_u_cf), (v_cf, cache_v_cf) = counterfactual_invariance(
-                model, x, b, se.key_out, se.query_out, heads.n_bias_classes)
-            inv_u, inv_u_cf = invariance_grads(se.key_out, u_cf)
-            inv_v, inv_v_cf = invariance_grads(se.query_out, v_cf)
-            # reversal: the embeddings climb the heads' cross-entropy
-            g_key_out = (g_key_out + w.lam * conf_into_u
-                         - w.lam * w.mu * ce_into_u + w.lam * inv_u)
-            g_query_out = (g_query_out + w.lam * conf_into_v
-                           - w.lam * w.mu * ce_into_v + w.lam * inv_v)
-            cf = ((cache_u_cf, w.lam * inv_u_cf), (cache_v_cf, w.lam * inv_v_cf))
-
-    # one backward pass per net on the combined embedding gradient, plus the
-    # counterfactual pass added on top when lam > 0
-    mlp_backward(model.key_net, se.key_cache, g_key_out, g_key)
-    mlp_backward(model.query_net, se.query_cache, g_query_out, g_query)
-    if cf is not None:
-        mlp_backward(model.key_net, *cf[0], g_key, add=True)
-        mlp_backward(model.query_net, *cf[1], g_query, add=True)
+                emb_cf, cache_cf = mlp_forward(net, x_cf)
+                inv.append(invariance_loss(emb, emb_cf))
+                inv_in, inv_cf = invariance_grads(emb, emb_cf)
+                # reversal: the embedding climbs the head's cross-entropy
+                g_emb = g_emb + w.lam * conf_in - w.lam * w.mu * ce_in + w.lam * inv_in
+                cf = (cache_cf, w.lam * inv_cf)
+        # one backward pass of the summed gradient, then the counterfactual's
+        mlp_backward(net, cache, g_emb, g_net)
+        if cf is not None:
+            mlp_backward(net, *cf, g_net, add=True)
     g_scalars[0] = se.grad_beta_raw
     if model.alpha_learnable:
         g_scalars[1] = se.grad_alpha
 
     total_report = se.loss
-    if bias_labels is not None:
-        total_report = (se.loss + w.lam * (l_conf_key + l_conf_query)
-                        + w.mu * (l_ce_key + l_ce_query))
-    if l_inv is not None:
+    if b is None:
+        ce = conf = acc = [float("nan")] * 2
+    else:
+        total_report = se.loss + w.lam * (conf[0] + conf[1]) + w.mu * (ce[0] + ce[1])
+    if inv:
+        l_inv = inv[0] + inv[1]
         total_report += w.lam * (se.l_align + l_inv)
     report = {
         "l_se": se.loss, "l_recon": se.recon, "l_reg": se.reg,
-        "l_ce_key": l_ce_key, "l_ce_query": l_ce_query,
-        "l_conf_key": l_conf_key, "l_conf_query": l_conf_query,
-        "bias_head_acc": acc, "total_report": total_report,
+        "l_ce_key": ce[0], "l_ce_query": ce[1],
+        "l_conf_key": conf[0], "l_conf_query": conf[1],
+        "bias_head_acc": 0.5 * (acc[0] + acc[1]), "total_report": total_report,
         "batch_size": x.shape[0], "beta": model.beta, "alpha": float(model.alpha),
     }
-    if l_inv is not None:
-        report["l_align"] = se.l_align
-        report["l_inv"] = l_inv
+    if inv:
+        report.update(l_align=se.l_align, l_inv=l_inv)
     if not np.isfinite(total_report) or abs(total_report) > DIVERGENCE_LIMIT:
         raise TrainingDiverged(
             f"loss diverged (total_report={total_report!r})", report=report)
 
     # heads first, then the feature nets, all from the same forward caches
-    if bias_labels is not None:
+    if b is not None:
         adam_step(state.opt_bias, (state.opt_bias.params,), (state.opt_bias.grads,))
     adam_step(state.opt_main, (state.opt_main.params,), (state.opt_main.grads,))
     return state, report
@@ -295,16 +292,10 @@ def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
 
 def _run_epochs(state: TrainState, x: np.ndarray, b, until_epoch: int) -> TrainState:
     cfg = state.config
-    warm_weights = None
-    if cfg.bias_warmup_epochs > 0 and cfg.weights.lam > 0:
-        # let the classifiers converge before the reversal kicks in
-        warm_weights = LossWeights(gamma=cfg.weights.gamma,
-                                   delta=cfg.weights.delta, lam=0.0,
-                                   mu=cfg.weights.mu)
+    # let the classifiers converge before the reversal kicks in
+    warm_weights = dataclasses.replace(cfg.weights, lam=0.0)
     for epoch in range(state.epoch + 1, until_epoch + 1):
-        weights = cfg.weights
-        if warm_weights is not None and epoch <= cfg.bias_warmup_epochs:
-            weights = warm_weights
+        weights = warm_weights if epoch <= cfg.bias_warmup_epochs else cfg.weights
         sums = {}
         n_seen = 0
         for idx in epoch_batches(x.shape[0], cfg.batch_size, cfg.seed, epoch):
@@ -314,16 +305,11 @@ def _run_epochs(state: TrainState, x: np.ndarray, b, until_epoch: int) -> TrainS
             except NumericsError as exc:
                 raise TrainingDiverged(f"epoch {epoch}: {exc}",
                                        report={"epoch": epoch}) from exc
-            k = rep["batch_size"]
-            n_seen += k
+            n_batch = rep.pop("batch_size")
+            n_seen += n_batch
             for key, val in rep.items():
-                if key == "batch_size":
-                    continue
-                sums[key] = sums.get(key, 0.0) + k * val
-        record = {"epoch": epoch}
-        for key, val in sums.items():
-            record[key] = val / n_seen
-        state.history.append(record)
+                sums[key] = sums.get(key, 0.0) + n_batch * val
+        state.history.append({"epoch": epoch, **{k: v / n_seen for k, v in sums.items()}})
         state.epoch = epoch
     return state
 
@@ -434,8 +420,6 @@ def _restore_state(manifest: dict, raw: bytes, offset: int, path: str) -> TrainS
         raise CheckpointError(f"{path}: unsupported version {manifest.get('version')!r}")
     cfg_dict = dict(manifest["config"])
     cfg_dict["weights"] = LossWeights(**cfg_dict["weights"])
-    cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
-    cfg_dict["bias_hidden"] = tuple(cfg_dict["bias_hidden"])
     config = TrainConfig(**cfg_dict)
     in_dim = manifest["in_dim"]
     count = 3 * sum(_layout(config, in_dim))
@@ -448,6 +432,12 @@ def _restore_state(manifest: dict, raw: bytes, offset: int, path: str) -> TrainS
         raise CheckpointError(
             f"{path}: {kind}: the layout its config builds holds {count} values, "
             f"the payload {have} bytes")
+    counts = (manifest["t"]["opt_main"], manifest["t"]["opt_bias"], manifest["epoch"])
+    if not all(type(c) is int and c >= 0 for c in counts):
+        raise CheckpointError(f"{path}: the epoch and step counts must be integers >= 0")
+    history = manifest["history"]
+    if not (type(history) is list and all(type(r) is dict for r in history)):
+        raise CheckpointError(f"{path}: the history must be a list of objects")
     state = init_state(config, in_dim)
 
     named = _state_arrays(state)
@@ -459,8 +449,6 @@ def _restore_state(manifest: dict, raw: bytes, offset: int, path: str) -> TrainS
     for _, arr in named:
         arr[...] = np.frombuffer(raw, "<f8", arr.size, offset).reshape(arr.shape)
         offset += 8 * arr.size
-    state.opt_main.t = manifest["t"]["opt_main"]
-    state.opt_bias.t = manifest["t"]["opt_bias"]
-    state.epoch = manifest["epoch"]
-    state.history = manifest["history"]
+    state.opt_main.t, state.opt_bias.t, state.epoch = counts
+    state.history = history
     return state

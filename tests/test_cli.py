@@ -199,12 +199,15 @@ def test_unreadable_config_value_exits_2(tmp_path, data_dir, capsys, command, cf
 def test_config_numbers_read_exactly(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"epochs": 2.0, "seed": 5, "widths": [8.0, 6],
+                                    "bias_widths": 64.0,
                                     "alpha_learnable": 1, "bias_batchnorm": False}))
     args = build_parser().parse_args(["train", "--data", "unread.csv",
                                       "--config", str(cfg_path), "--out", "unused"])
     opts = _merge(args, TRAIN_OPTIONS)
     assert opts["epochs"] == 2 and type(opts["epochs"]) is int
     assert opts["seed"] == 5 and opts["widths"] == (8, 6)
+    # one number is one layer, read like an integer option
+    assert opts["bias_widths"] == (64,) and type(opts["bias_widths"][0]) is int
     assert opts["alpha_learnable"] is True and opts["bias_batchnorm"] is False
 
 
@@ -272,7 +275,8 @@ def test_parser_has_no_option_outside_the_tables_but_the_fixed_arguments():
         assert dests == fixed[name] | set(TABLES.get(name, ())), name
 
 
-@pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
+@pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5", "4294967299", "2147483648",
+                                 pytest.param("1" * 5000, id="5000-digits")])
 def test_malformed_thread_cap_exits_2(monkeypatch, capsys, cap):
     # refused before any BLAS library is looked up or set
     monkeypatch.setenv("INVSEN_THREADS", cap)

@@ -130,23 +130,24 @@ class TestTrainStep:
         # the heads did move, on cross-entropy
         assert state.opt_bias.t == 1
 
-    def test_step_matches_straightline_composition(self):
+    @pytest.mark.parametrize("n_classes", [2, 3], ids=["K2", "K3"])
+    def test_step_matches_straightline_composition(self, n_classes):
         # full min-max step recomputed by composing the primitives by hand
         ds = toy_dataset()
         x = normalize_rows(ds.X)[:4]
-        b = ds.b[:4]
-        # both bias groups: the aligned reconstruction and the invariance
-        # term are live
-        assert 0 < b.sum() < b.size
+        b = ds.b[:4] if n_classes == 2 else np.array([0, 1, 2, 1])
+        # every bias group present: the aligned reconstruction and the
+        # invariance term are live
+        assert set(b) == set(range(n_classes))
         w = LossWeights(gamma=20.0, delta=0.9, lam=0.8, mu=1.3)
-        cfg = tiny_config(weights=w)
+        cfg = tiny_config(weights=w, n_bias_classes=n_classes)
         state = init_state(cfg, x.shape[1])
         twin = clone_state(state)
 
         train_step(state, x, b, w)
 
         se = se_loss(twin.model, x, w.gamma, w.delta,
-                     shift=bias_group_shift(x, b), shift_weight=w.lam)
+                     shift=bias_group_shift(x, b, n_classes), shift_weight=w.lam)
         p_key, cache_g = bias_posterior(twin.heads.g, se.key_out)
         p_query, cache_gp = bias_posterior(twin.heads.g_prime, se.query_out)
         g_grads, ce_u = mlp_backward(twin.heads.g, cache_g,
@@ -157,7 +158,7 @@ class TestTrainStep:
                                  entropy_confusion_grad_logits(p_key))
         _, conf_v = mlp_backward(twin.heads.g_prime, cache_gp,
                                  entropy_confusion_grad_logits(p_query))
-        x_cf = counterfactual_inputs(x, b)
+        x_cf = counterfactual_inputs(x, b, n_classes)
         u_cf, cache_u_cf = mlp_forward(twin.model.key_net, x_cf)
         v_cf, cache_v_cf = mlp_forward(twin.model.query_net, x_cf)
         inv_u, inv_u_cf = invariance_grads(se.key_out, u_cf)
@@ -216,6 +217,24 @@ class TestTrainStep:
         _, rep = train_step(state, x, ds.b[:8], w)
         assert rep["total_report"] == se.loss
         assert "l_align" not in rep and "l_inv" not in rep
+
+    @pytest.mark.parametrize("lam, labelled, extra", [
+        (0.0, False, []), (0.0, True, []), (0.5, True, ["l_align", "l_inv"]),
+    ], ids=["lam0-no-labels", "lam0-labels", "lam-positive"])
+    def test_report_keys_in_order(self, lam, labelled, extra):
+        # history records, and so checkpoint bytes, follow this order
+        ds = toy_dataset()
+        x = normalize_rows(ds.X)[:8]
+        w = LossWeights(gamma=20.0, delta=0.9, lam=lam, mu=1.0)
+        state = init_state(tiny_config(weights=w), x.shape[1])
+        _, rep = train_step(state, x, ds.b[:8] if labelled else None, w)
+        assert list(rep) == [
+            "l_se", "l_recon", "l_reg", "l_ce_key", "l_ce_query", "l_conf_key",
+            "l_conf_query", "bias_head_acc", "total_report", "batch_size", "beta",
+            "alpha", *extra]
+        bias_side = [rep[k] for k in ("l_ce_key", "l_ce_query", "l_conf_key",
+                                      "l_conf_query", "bias_head_acc")]
+        assert np.isnan(bias_side).all() != labelled
 
     def test_report_uniform_heads(self):
         ds = toy_dataset()
@@ -427,6 +446,10 @@ class TestFit:
         for widths in (dict(embed_dim=0), dict(hidden=(8, 0)), dict(bias_hidden=(-3,))):
             with pytest.raises(ConfigError, match="width"):
                 TrainConfig(epochs=1, **widths)
+        # a non-integer count or width is refused, never truncated
+        for kw in (dict(hidden=(10.5,)), dict(batch_size="16"), dict(seed=True)):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                TrainConfig(epochs=1, **kw)
         TrainConfig(epochs=1, hidden=(), bias_hidden=())  # no hidden layer is legal
 
     def test_fewer_than_two_samples_refused_before_allocating(self):
@@ -481,7 +504,16 @@ class TestCheckpoints:
         (lambda m: m["config"].update(bias_batchnorm=False), "layout"),
         (lambda m: m.update(in_dim=11), "layout"),
         (lambda m: m.update(in_dim=-10 ** 6), "builds no arrays"),
-    ], ids=["version-1", "version-2", "version-3", "hidden", "batchnorm", "in-dim", "negative-in-dim"])
+        # each of these loaded once, and resume then failed
+        (lambda m: m["t"].update(opt_main="x"), "step counts"),
+        (lambda m: m.update(epoch="five"), "step counts"),
+        (lambda m: m.update(epoch=-3), "step counts"),
+        (lambda m: m.update(history=7), "history"),
+        (lambda m: m["config"].update(batch_size=2.5), "batch_size"),
+        (lambda m: m["config"].update(bias_warmup_epochs="x"), "bias_warmup_epochs"),
+    ], ids=["version-1", "version-2", "version-3", "hidden", "batchnorm", "in-dim",
+            "negative-in-dim", "t-string", "epoch-string", "epoch-negative",
+            "history-number", "batch-size-fraction", "warmup-string"])
     def test_manifest_that_does_not_match_refused(self, tmp_path, edit, match):
         path = tmp_path / "ck.invsen"
         save_checkpoint(fit(tiny_config(epochs=1), toy_dataset()), str(path))
