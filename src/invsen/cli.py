@@ -43,8 +43,8 @@ def _apply_thread_cap() -> None:
     cap = os.environ.get("INVSEN_THREADS")
     if not cap:
         return
-    # past ten significant digits n is out of range (and int() may refuse it)
-    n = int(cap) if cap.isdecimal() and len(cap.lstrip("0")) <= 10 else 0
+    # past ten characters n is out of range (and int() may refuse it)
+    n = int(cap) if cap.isdecimal() and len(cap) <= 10 else 0
     if not 1 <= n < 2 ** 31:  # the setters take a C int
         raise ConfigError(
             f"INVSEN_THREADS must be a positive integer below 2^31, not {cap!r}")

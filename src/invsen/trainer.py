@@ -44,11 +44,9 @@ length before anything is allocated.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -112,15 +110,16 @@ class TrainConfig:
     beta0: float = 0.005
 
     def __post_init__(self):
-        # every field annotated int, and every width, holds an integer
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type in ("int", "tuple") and any(
-                    isinstance(v, bool) or not isinstance(v, numbers.Integral)
-                    for v in (value if f.type == "tuple" else (value,))):
-                raise ConfigError(f"{f.name} must be an integer or integers, not {value!r}")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        # every count holds an integer, and every width list a tuple or list of them
+        for name in ("epochs", "batch_size", "seed", "eval_every", "hidden", "embed_dim",
+                     "bias_hidden", "bias_warmup_epochs", "n_bias_classes"):
+            value = getattr(self, name)
+            items = value if name in ("hidden", "bias_hidden") else (value,)
+            if not isinstance(items, (tuple, list)) or any(
+                    isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in items):
+                raise ConfigError(f"{name} must be an integer or integers, not {value!r}")
+        if self.epochs < 0 or self.bias_warmup_epochs < 0:
+            raise ConfigError("epochs and bias_warmup_epochs must be >= 0")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (self-expression needs peers)")
         if not (0 < self.lr_main < np.inf and 0 < self.lr_bias < np.inf):
@@ -293,7 +292,7 @@ def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
 def _run_epochs(state: TrainState, x: np.ndarray, b, until_epoch: int) -> TrainState:
     cfg = state.config
     # let the classifiers converge before the reversal kicks in
-    warm_weights = dataclasses.replace(cfg.weights, lam=0.0)
+    warm_weights = replace(cfg.weights, lam=0.0)
     for epoch in range(state.epoch + 1, until_epoch + 1):
         weights = warm_weights if epoch <= cfg.bias_warmup_epochs else cfg.weights
         sums = {}

@@ -276,7 +276,8 @@ def test_parser_has_no_option_outside_the_tables_but_the_fixed_arguments():
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5", "4294967299", "2147483648",
-                                 pytest.param("1" * 5000, id="5000-digits")])
+                                 pytest.param("1" * 5000, id="5000-digits"),
+                                 pytest.param("0" * 5000 + "4", id="5000-zeros-then-4")])
 def test_malformed_thread_cap_exits_2(monkeypatch, capsys, cap):
     # refused before any BLAS library is looked up or set
     monkeypatch.setenv("INVSEN_THREADS", cap)

@@ -287,7 +287,7 @@ class TestTrainStep:
         for a, c, r in zip(with_ce, without_ce, reversed_only):
             assert np.allclose(a - c, r, atol=1e-12)
 
-    def test_bias_signal_survives_a_confident_head(self):
+    def test_bias_signal_survives_a_confident_head(self, monkeypatch):
         # Once a head is confidently right, its confusion gradient
         # p(log p + H) and reversed cross-entropy gradient p - y vanish. Here
         # the key embeddings separate the bias and head g reads it with a
@@ -312,12 +312,14 @@ class TestTrainStep:
         p_key, _ = bias_posterior(head, u)
         assert p_key[np.arange(b.size), b].min() > 1.0 - 1e-12
 
-        # With eps far above every |gradient|, Adam's first step is
+        # With Adam's eps far above every |gradient|, its first step is
         # -lr * g / eps, so the parameter change reads the gradient itself.
+        monkeypatch.setattr(numkit, "ADAM_EPS", 1e6)
+
         def key_step(lam):
             twin = clone_state(state)
             install_heads(twin, clone_mlp(head), clone_mlp(head))
-            twin.opt_main.lr, twin.opt_main.eps = 1.0, 1e6
+            twin.opt_main.lr = 1.0
             before = [a.copy() for a in numkit.mlp_param_arrays(twin.model.key_net)]
             train_step(twin, x, b, LossWeights(gamma=20.0, delta=0.9, lam=lam, mu=1.0))
             after = numkit.mlp_param_arrays(twin.model.key_net)
@@ -441,13 +443,16 @@ class TestFit:
             TrainConfig(epochs=1, batch_size=1)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=-1)
+        with pytest.raises(ConfigError, match="bias_warmup_epochs"):
+            TrainConfig(epochs=1, bias_warmup_epochs=-5)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=1, lr_main=0.0)
         for widths in (dict(embed_dim=0), dict(hidden=(8, 0)), dict(bias_hidden=(-3,))):
             with pytest.raises(ConfigError, match="width"):
                 TrainConfig(epochs=1, **widths)
         # a non-integer count or width is refused, never truncated
-        for kw in (dict(hidden=(10.5,)), dict(batch_size="16"), dict(seed=True)):
+        for kw in (dict(hidden=(10.5,)), dict(hidden=64), dict(batch_size="16"),
+                   dict(seed=True)):
             with pytest.raises(ConfigError, match="must be an integer"):
                 TrainConfig(epochs=1, **kw)
         TrainConfig(epochs=1, hidden=(), bias_hidden=())  # no hidden layer is legal
