@@ -29,7 +29,8 @@ from .errors import ConfigError, DataFormatError, InvsenError, TrainingDiverged
 from .evalmetrics import METRIC_FIELDS, MetricsReport, discrete_mi, evaluate_labels
 
 # The thread-count setter of an OpenBLAS, by build: scipy-openblas with the
-# 64-bit interface (numpy's) or the 32-bit one (scipy's), or plain OpenBLAS
+# 64-bit interface (numpy's) or the 32-bit one (scipy's, present only when
+# the caller has loaded scipy; invsen does not), or plain OpenBLAS
 _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                          "openblas_set_num_threads64_", "openblas_set_num_threads")
 

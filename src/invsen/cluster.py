@@ -1,14 +1,15 @@
 """From a trained model to cluster labels: the affinity |C| + |C^T| of the
 full coefficient matrix, symmetric normalized Laplacian, its k smallest
-eigenvectors by seeded Lanczos iteration (ARPACK's `eigsh`; a dense `eigh`
-only for k = n), and k-means on the row-normalized spectral embedding.
+eigenvectors by seeded block Lanczos iteration (a dense `eigh` only for
+k = n), and k-means on the row-normalized spectral embedding.
 
 The affinity is the one n x n array an evaluation makes. It is built in
 place in BLOCK-row blocks and BLOCK x BLOCK tile pairs, by the same
 arithmetic as the plain whole-array expressions, so it is the same bits;
 its exact symmetry check makes no n x n temporary either. The Laplacian
-is never formed: it is an operator over the affinity whose Lanczos
-mat-vecs read only one triangle of it.
+is never formed: it is an operator over the affinity whose products take
+a block of rows at a time, so one matrix product reads A once for several
+Krylov vectors.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymv
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import ConfigError, NumericsError, ShapeError
 from .numkit import make_rng, mlp_forward, normalize_rows
@@ -31,6 +30,19 @@ BLOCK = 128
 # Orthonormality bound of the eigenvectors, and the floor of their
 # residual bound.
 EIG_TOL = 1e-8
+
+# The block Lanczos solver: rows per Krylov block (k when k is larger),
+# basis vectors held before a thick restart, blocks between Rayleigh-Ritz
+# checks, blocks before it gives up, and the residual norm at which a Ritz
+# pair counts as converged (times the matrix's largest entry, when above
+# 1). With 1 BLAS thread a 4-row product takes about twice a 1-row one at
+# n = 600 and n = 3000, and 6- or 8-row blocks did not cut the 12-15
+# blocks a solve takes on the benchmark's affinities.
+KRYLOV_BLOCK = 4
+KRYLOV_BASIS = 48
+KRYLOV_CHECK = 2
+KRYLOV_STEPS = 500
+KRYLOV_TOL = 1e-10
 
 
 @dataclass
@@ -121,51 +133,63 @@ def _check_affinity(a: np.ndarray) -> None:
         raise NumericsError("affinity has a nonzero diagonal")
 
 
-def normalized_laplacian(a: np.ndarray) -> LinearOperator:
+class LaplacianOperator:
+    """The symmetric normalized Laplacian L = I - D^(-1/2) A D^(-1/2) over
+    an affinity A that it keeps, not copies. `lap @ x` takes a vector or an
+    (n, m) matrix; a one-column matrix gives the vector's bits."""
+
+    def __init__(self, a: np.ndarray, dinv: np.ndarray):
+        self.a = a
+        self.dinv = dinv
+        self.shape = a.shape
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """x L for a block of rows x, that is (L x^T)^T: L is symmetric, so
+        one matrix product reads A once for every row of x."""
+        return x - ((x * self.dinv) @ self.a) * self.dinv
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self.rows(x[None, :])[0]
+        return self.rows(x.T).T
+
+
+def normalized_laplacian(a: np.ndarray) -> LaplacianOperator:
     """Symmetric normalized Laplacian L = I - D^(-1/2) A D^(-1/2) of a
     symmetric non-negative affinity, eigenvalues in [0, 2], as a float64
     operator; zero-degree vertices get a 0 entry in D^(-1/2) (their row
     reduces to the identity row).
 
-    L is never formed. A product with a vector is
-    x - D^(-1/2) A D^(-1/2) x, where BLAS `dsymv` reads only one triangle
-    of A; a product with a matrix is the same expression through a full
-    matmul. The operator keeps the checked affinity, not a copy of it: a
-    C- or Fortran-ordered A is used as it is, any other layout is copied
-    once.
+    L is never formed: a product is x - D^(-1/2) A D^(-1/2) x through one
+    matmul. The operator keeps the checked affinity, not a copy of it. A
+    Fortran-ordered A is used through its transpose, which is the same
+    matrix in C order, so every layout gives the same bits; any other
+    layout is copied once.
     """
     a = np.asarray(a, dtype=float)
     _check_affinity(a)
+    if not a.flags.c_contiguous:
+        a = a.T if a.flags.f_contiguous else np.ascontiguousarray(a)
     deg = a.sum(axis=1)
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
-    # A = A^T exactly, so any Fortran-ordered form of it serves; a
-    # C-ordered A's transpose is one, which f2py passes without a copy
-    af = a.T if a.flags.c_contiguous else np.asfortranarray(a)
-
-    def matvec(x):
-        x = x.reshape(-1)  # a one-column matrix comes as (n, 1)
-        return x - dinv * dsymv(1.0, af, dinv * x, lower=1)
-
-    def matmat(x):
-        return x - dinv[:, None] * (af @ (dinv[:, None] * x))
-
-    return LinearOperator(a.shape, matvec=matvec, matmat=matmat, dtype=float)
+    return LaplacianOperator(a, dinv)
 
 
-def smallest_eigenvectors(lap: np.ndarray | LinearOperator, k: int):
+def smallest_eigenvectors(lap: np.ndarray | LaplacianOperator, k: int):
     """The k smallest eigenpairs of a symmetric matrix: an exactly
     symmetric array, or an operator whose entries lie in [-1, 1], such as
     `normalized_laplacian` returns.
 
-    Returns (values ascending, vectors (n, k)). ARPACK's Lanczos solver
-    (`eigsh`, which="SA", tol=0) finds them, starting and restarting from
-    the fixed stream make_rng(0, "eigsh"); a dense `eigh` runs only for
-    k = n, where ARPACK cannot (of `lap @ I` for an operator). Columns are
-    orthonormal within EIG_TOL and sign-fixed (largest-magnitude entry
-    positive) so the output is a deterministic function of the input.
+    Returns (values ascending, vectors (n, k)). Block Lanczos iteration
+    (`_block_lanczos`) finds them, starting and drawing any replacement
+    vector from the fixed stream make_rng(0, "eigsh"); a dense `eigh` runs
+    only for k = n (of `lap @ I` for an operator). Columns are orthonormal
+    within EIG_TOL and sign-fixed (largest-magnitude entry positive) so the
+    output is a deterministic function of the input.
     """
-    dense = not isinstance(lap, LinearOperator)
+    dense = not isinstance(lap, LaplacianOperator)
     if dense:
         lap = np.asarray(lap, dtype=float)
     if len(lap.shape) != 2 or lap.shape[0] != lap.shape[1]:
@@ -175,14 +199,16 @@ def smallest_eigenvectors(lap: np.ndarray | LinearOperator, k: int):
         raise ShapeError(f"k={k} out of range for n={n}")
     if dense and not _is_symmetric(lap):
         raise NumericsError("matrix is not symmetric")
-    rng = make_rng(0, "eigsh")
+    # max |entry| (a normalized Laplacian's is 1), no n x n temporary
+    scale = max(lap.max(), -lap.min()) if dense else 1.0
     try:
         if k == n:
             vals, vecs = np.linalg.eigh(lap if dense else lap @ np.eye(n))
         else:
-            vals, vecs = eigsh(lap, k, which="SA", tol=0,
-                               v0=rng.uniform(-1.0, 1.0, n), rng=rng)
-    except (np.linalg.LinAlgError, ArpackError) as exc:
+            apply_rows = (lambda x: x @ lap) if dense else lap.rows
+            vals, vecs = _block_lanczos(apply_rows, n, k, make_rng(0, "eigsh"),
+                                        KRYLOV_TOL * max(1.0, scale))
+    except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
@@ -190,8 +216,6 @@ def smallest_eigenvectors(lap: np.ndarray | LinearOperator, k: int):
     vecs = vecs * np.where(lead < 0, -1.0, 1.0)
     gram_err = np.abs(vecs.T @ vecs - np.eye(k)).max()
     resid = np.abs(lap @ vecs - vecs * vals).max()
-    # max |entry| (a normalized Laplacian's is 1), no n x n temporary
-    scale = max(lap.max(), -lap.min()) if dense else 1.0
     if gram_err > EIG_TOL or resid > max(EIG_TOL, 1e-6 * max(1.0, scale)):
         raise NumericsError(
             f"eigenvector residuals too large (orthonormality {gram_err:.2e}, "
@@ -199,11 +223,98 @@ def smallest_eigenvectors(lap: np.ndarray | LinearOperator, k: int):
     return vals, vecs
 
 
+def _block_lanczos(apply_rows, n: int, k: int, rng: np.random.Generator, tol: float):
+    """The k smallest eigenpairs of the symmetric n x n matrix M whose
+    product with a block of rows is `apply_rows(x) = x M`, for k < n.
+
+    Block Lanczos (Golub & Underwood 1977) with full reorthogonalisation:
+    each block is the product of the one before, projected off the whole
+    basis twice and orthonormalized; `h` holds the basis's Rayleigh
+    quotient Q M Q^T, whose eigenpairs give the Ritz pairs (Rayleigh-Ritz).
+    A Ritz vector's residual is the part of the last product that the
+    basis leaves, so it costs no product of its own. When the basis is
+    full, a thick restart keeps the best Ritz vectors, and the next block
+    goes on from them. A basis that fills the whole space gives exact
+    pairs.
+    """
+    b = min(max(KRYLOV_BLOCK, k), n)
+    cap = min(n, max(KRYLOV_BASIS, k + 2 * b))
+    q = np.empty((cap, n))  # orthonormal basis, one vector per row
+    h = np.zeros((cap, cap))  # Q M Q^T; eigh reads its lower triangle
+    m = 0
+    block = _orthonormal_rows(rng.uniform(-1.0, 1.0, (b, n)), q[:0], rng, tol)
+    for step in range(1, KRYLOV_STEPS + 1):
+        width = len(block)
+        q[m:m + width] = block
+        product = apply_rows(block)
+        m += width
+        h[m - width:m, :m] = _project_out(product, q[:m])
+        if m == n:
+            vals, y = np.linalg.eigh(h)
+            return vals[:k], q.T @ y[:, :k]
+        block = _orthonormal_rows(product[:n - m], q[:m], rng, tol)
+        full = m + len(block) > cap
+        if full or step % KRYLOV_CHECK == 0:
+            vals, y = np.linalg.eigh(h[:m, :m])
+            resid = np.linalg.norm(y[m - width:m, :k].T @ product, axis=1)
+            if resid.max() <= tol:
+                return vals[:k], q[:m].T @ y[:, :k]
+            if full:
+                keep = min(k + (cap - k - b) // 2, cap - b)
+                q[:keep] = y[:, :keep].T @ q[:m]
+                h[:keep, :keep] = np.diag(vals[:keep])
+                m = keep
+                _project_out(block, q[:m])
+    raise NumericsError(
+        f"eigendecomposition failed: no convergence in {KRYLOV_STEPS} Lanczos blocks")
+
+
+def _project_out(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Remove from the rows of x, in place, their components along the
+    orthonormal rows of q, in two passes (one leaves rounding-level
+    components behind); returns the coefficients removed, x q^T."""
+    coef = x @ q.T
+    x -= coef @ q
+    again = x @ q.T
+    x -= again @ q
+    return coef + again
+
+
+def _orthonormal_rows(x: np.ndarray, q: np.ndarray, rng: np.random.Generator,
+                      floor: float):
+    """Orthonormal rows spanning those of x, which are orthogonal to the
+    rows of q: Cholesky QR twice, or Householder QR when x is far from full
+    rank. A row that adds no more than `floor` of a direction of its own
+    (the basis is nearly an invariant subspace) is replaced by a random one
+    off q, so that the block keeps its length."""
+    for _ in range(2):
+        gram = x @ x.T
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            break
+        if np.diag(chol).min() <= max(floor, 1e-6 * np.sqrt(np.diag(gram).max())):
+            break
+        x = np.linalg.inv(chol) @ x
+    else:
+        return x
+    f, r = np.linalg.qr(x.T)
+    f = f.T.copy()
+    while (lost := np.abs(np.diag(r)) <= floor).any():
+        f[lost] = rng.uniform(-1.0, 1.0, (int(lost.sum()), x.shape[1]))
+        _project_out(f, q)
+        f, r = np.linalg.qr(f.T)
+        f = f.T.copy()
+    return f
+
+
 def kmeans(rows: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
            seed: int = 0) -> ClusterLabels:
     """Lloyd's algorithm with k-means++ seeding, best of `restarts` by
     within-cluster sum of squares. Rows are L2-normalized first (the
     spectral embedding convention); all randomness comes from the seed.
+    The restarts run together, one stacked Lloyd step at a time, and give
+    the bits each would give on its own.
     """
     rows = normalize_rows(np.asarray(rows, dtype=float))
     n = rows.shape[0]
@@ -214,35 +325,66 @@ def kmeans(rows: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
     if k > n:
         raise ShapeError(f"k={k} exceeds number of samples n={n}")
 
+    # a restart leaves the stacked loop when its labels repeat
+    centers = np.stack([_kmeanspp(rows, k, make_rng(seed, "kmeans", restart))
+                        for restart in range(restarts)])
+    labels = np.zeros((restarts, n), dtype=int)
+    live = np.arange(restarts)
+    for _ in range(max_iter):
+        live_centers = centers[live]
+        # squared distances to one center of every live restart at a time,
+        # summed over features as the per-restart broadcast sums them
+        d2 = np.empty((len(live), n, k))
+        for c in range(k):
+            diff = rows - live_centers[:, None, c]
+            np.square(diff, out=diff)
+            diff.sum(axis=2, out=d2[:, :, c])
+            del diff  # before the next center makes its own
+        new_labels = d2.argmin(axis=2)
+        counts = _update_centers(rows, new_labels, live_centers)
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            _reseat_empty(rows, new_labels[r], live_centers[r])
+        done = (new_labels == labels[live]).all(axis=1)
+        labels[live] = new_labels
+        centers[live] = live_centers
+        live = live[~done]
+        if not live.size:
+            break
     best_labels = None
     best_wcss = np.inf
     for restart in range(restarts):
-        rng = make_rng(seed, "kmeans", restart)
-        centers = _kmeanspp(rows, k, rng)
-        labels = np.zeros(n, dtype=int)
-        for _ in range(max_iter):
-            d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = d2.argmin(axis=1)
-            for c in range(k):
-                members = new_labels == c
-                if members.any():
-                    centers[c] = rows[members].mean(axis=0)
-            # re-seat empty clusters at the current worst-fit points
-            for c in range(k):
-                if not (new_labels == c).any():
-                    dist_own = ((rows - centers[new_labels]) ** 2).sum(axis=1)
-                    far = int(np.argmax(dist_own))
-                    centers[c] = rows[far]
-                    new_labels[far] = c
-            if np.array_equal(new_labels, labels):
-                labels = new_labels
-                break
-            labels = new_labels
-        wcss = float(((rows - centers[labels]) ** 2).sum())
+        wcss = float(((rows - centers[restart][labels[restart]]) ** 2).sum())
         if wcss < best_wcss:
             best_wcss = wcss
-            best_labels = labels
+            best_labels = labels[restart]
     return ClusterLabels(labels=best_labels, k=k)
+
+
+def _update_centers(rows: np.ndarray, labels: np.ndarray, centers: np.ndarray):
+    """Move each center of each restart (centers (restarts, k, d), labels
+    (restarts, n)) to the mean of its members, in place; an empty cluster
+    keeps its center. One bincount per feature sums every restart's
+    clusters in sample order, as the per-cluster mean does. Returns the
+    member counts (restarts, k)."""
+    runs, k, _ = centers.shape
+    bins = (labels + k * np.arange(runs)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=runs * k).reshape(runs, k)
+    sums = np.stack([np.bincount(bins, weights=np.tile(col, runs), minlength=runs * k)
+                     for col in rows.T], axis=1).reshape(centers.shape)
+    filled = counts > 0
+    centers[filled] = sums[filled] / counts[filled][:, None]
+    return counts
+
+
+def _reseat_empty(rows: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
+    """Re-seat each empty cluster of one restart, in place, at the point
+    then farthest from its own center."""
+    for c in range(len(centers)):
+        if not (labels == c).any():
+            dist_own = ((rows - centers[labels]) ** 2).sum(axis=1)
+            far = int(np.argmax(dist_own))
+            centers[c] = rows[far]
+            labels[far] = c
 
 
 def _kmeanspp(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,8 @@ import pytest
 
 from invsen.cli import (EVAL_OPTIONS, GEN_OPTIONS, TRAIN_OPTIONS, _integer, _merge, _real,
                          _string, _switch, _widths, build_parser, main)
-from invsen.cluster import build_affinity
+from invsen import cluster
+from invsen.cluster import build_affinity, normalized_laplacian, smallest_eigenvectors
 from invsen.datagen import load_dataset
 from invsen.trainer import load_checkpoint
 
@@ -415,6 +416,23 @@ class TestEvaluate:
         assert dumped.dtype == expected.dtype and dumped.shape == expected.shape
         assert dumped.tobytes() == expected.tobytes()
         assert not any(p.name.endswith(".tmp") for p in out.iterdir())
+
+
+# The training split's Laplacian has a clustered spectrum: lambda_2 = 0.92,
+# lambda_3 .. lambda_6 within 0.003 of 1. The default Krylov basis holds all
+# 48 vectors; one of 16 restarts many times and must still resolve it.
+@pytest.mark.parametrize("basis", [None, 16])
+def test_clustered_spectrum_solved(data_dir, trained_dir, monkeypatch, basis):
+    if basis is not None:
+        monkeypatch.setattr(cluster, "KRYLOV_BASIS", basis)
+    a = build_affinity(load_checkpoint(str(trained_dir / "checkpoint.invsen")).model,
+                       load_dataset(str(data_dir / "train.csv")).X)
+    lap = normalized_laplacian(a)
+    ref_vals, ref_vecs = np.linalg.eigh(lap @ np.eye(len(a)))
+    assert 0.9 < ref_vals[1] < 0.95 and np.abs(ref_vals[2:6] - 1.0).max() < 0.005
+    vals, vecs = smallest_eigenvectors(lap, 2)
+    assert np.abs(vals - ref_vals[:2]).max() < 1e-12
+    assert np.abs(np.abs(vecs.T @ ref_vecs[:, :2]) - np.eye(2)).max() < 1e-10
 
 
 # out-of-range options: each must end in a ConfigError (exit 2), not a traceback

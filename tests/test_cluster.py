@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from invsen import cluster, datagen, trainer
 from invsen.cluster import (
@@ -143,10 +142,10 @@ class TestNormalizedLaplacian:
         n = a.shape[0]
         lap = normalized_laplacian(a)
         expected = ref_normalized_laplacian(a)
-        # the matrix product (a full matmul) ...
+        # the matrix product ...
         assert np.abs(lap @ np.eye(n) - expected).max() <= 1e-15
-        # ... and the vector product Lanczos makes (one triangle of A),
-        # for a vector and for a one-column matrix
+        # ... and the vector product, for a vector and for a one-column
+        # matrix
         x = make_rng(32, "x").uniform(-1.0, 1.0, n)
         assert np.abs(lap @ x - expected @ x).max() <= 1e-14
         assert np.array_equal(lap @ x[:, None], (lap @ x)[:, None])
@@ -203,6 +202,27 @@ class TestSmallestEigenvectors:
         with pytest.raises(ShapeError):
             smallest_eigenvectors(np.eye(3), 4)
 
+    def test_one_edge_among_isolated_vertices(self):
+        # L is the identity but for the edge's 2 x 2 block (eigenvalues 0
+        # and 2): the first product leaves the basis almost invariant, and
+        # the eigenvalue 0 must still be found below the 98-fold 1
+        a = np.zeros((100, 100))
+        a[0, 1] = a[1, 0] = 1.0
+        vals, vecs = smallest_eigenvectors(normalized_laplacian(a), 3)
+        assert np.abs(vals - [0.0, 1.0, 1.0]).max() < 1e-12
+        assert np.abs(np.abs(vecs[:2, 0]) - np.sqrt(0.5)).max() < 1e-12
+
+    # n = 9 fills the Krylov basis in two blocks, n = 60 exceeds its cap
+    @pytest.mark.parametrize("sizes", [[5, 4], [30, 30]])
+    def test_k_equal_n_minus_one(self, sizes):
+        a, _ = block_affinity(sizes, make_rng(28, "blk"))
+        n = a.shape[0]
+        vals, vecs = smallest_eigenvectors(normalized_laplacian(a), n - 1)
+        ref = ref_normalized_laplacian(a)
+        assert np.abs(vals - np.linalg.eigvalsh(ref)[:n - 1]).max() < 1e-12
+        assert np.abs(vecs.T @ vecs - np.eye(n - 1)).max() < 1e-12
+        assert np.abs(ref @ vecs - vecs * vals).max() < 1e-10
+
     def test_operator_with_k_equal_n(self):
         a, _ = block_affinity([4, 3], make_rng(27, "blk"))
         vals, vecs = smallest_eigenvectors(normalized_laplacian(a), 7)
@@ -258,14 +278,46 @@ class TestLanczosSolver:
         assert np.array_equal(first[1], second[1])
 
     def test_dense_path_only_for_k_equal_n(self, monkeypatch):
-        a, _ = block_affinity([5, 4], make_rng(19, "blk"))
+        # for k < n only the projected matrix of the Krylov basis is
+        # decomposed, never an n x n one (n here is above the basis cap)
+        a, _ = block_affinity([40, 40], make_rng(19, "blk"))
+        n = a.shape[0]
+        eigh = np.linalg.eigh
+        sizes = []
 
-        def no_dense(*args, **kwargs):
-            raise AssertionError("dense eigh called for k < n")
+        def sized_eigh(m, *args, **kwargs):
+            sizes.append(m.shape[0])
+            return eigh(m, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", no_dense)
+        monkeypatch.setattr(np.linalg, "eigh", sized_eigh)
         vals, _ = smallest_eigenvectors(normalized_laplacian(a), 2)
         assert np.abs(vals).max() < 1e-10
+        assert sizes and max(sizes) <= cluster.KRYLOV_BASIS < n
+        smallest_eigenvectors(normalized_laplacian(a), n)
+        assert sizes[-1] == n
+
+    # the default basis, and one small enough to restart many times
+    @pytest.mark.parametrize("basis", [None, 16])
+    def test_thick_restart_matches_dense(self, trained_affinity, monkeypatch, basis):
+        if basis is not None:
+            monkeypatch.setattr(cluster, "KRYLOV_BASIS", basis)
+        a = trained_affinity[0]
+        lap = normalized_laplacian(a)
+        products = []
+        rows = lap.rows
+
+        def counted(x):
+            products.append(len(x))
+            return rows(x)
+
+        lap.rows = counted
+        vals, vecs = smallest_eigenvectors(lap, 3)
+        # the basis was restarted: more rows went through the product than
+        # it holds (the last 3 are the residual check's)
+        assert sum(products) - 3 > cluster.KRYLOV_BASIS
+        ref_vals, ref_vecs = dense_smallest(ref_normalized_laplacian(a), 3)
+        assert np.abs(vals - ref_vals).max() < 1e-12
+        assert np.abs(vecs - ref_vecs).max() < 1e-8
 
     def test_asymmetric_matrix_rejected(self):
         # off by far less than the residual check would notice
@@ -284,8 +336,8 @@ class TestLanczosSolver:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_no_n_by_n_array_made(self, trained_affinity, order):
-        # a formed Laplacian would be one more n x n array, and an f2py copy
-        # of a wrongly ordered affinity one per mat-vec
+        # a formed Laplacian would be one more n x n array, and a copy of a
+        # wrongly ordered affinity one per product
         a = np.asarray(trained_affinity[0], order=order)
         cfg = SpectralConfig(k=3, seed=0)
         tracemalloc.start()
@@ -307,8 +359,8 @@ class TestLanczosSolver:
             assert np.array_equal(spectral_cluster(other, cfg).labels, labels)
 
     def test_labels_do_not_depend_on_blas_threads(self, trained_affinity, tmp_path):
-        # dsymv sums per-thread partial products, so the eigenvectors' last
-        # bits can follow the thread count; the labels must not
+        # a threaded gemm may sum in another order, so the eigenvectors'
+        # last bits can follow the thread count; the labels must not
         path = tmp_path / "affinity.npy"
         np.save(path, trained_affinity[0])
         script = ("import sys, numpy as np\n"
@@ -325,12 +377,11 @@ class TestLanczosSolver:
         assert out[0] == out[1]
 
     def test_no_convergence_is_numerics_error(self, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence",
-                                      np.zeros(0), np.zeros((0, 0)))
-
-        monkeypatch.setattr(cluster, "eigsh", stalled)
-        a, _ = block_affinity([10, 10], make_rng(22, "blk"))
+        # no residual meets a zero tolerance, so the solve stalls until its
+        # block limit (n is above the basis cap, which would give exact pairs)
+        monkeypatch.setattr(cluster, "KRYLOV_TOL", 0.0)
+        monkeypatch.setattr(cluster, "KRYLOV_STEPS", 40)
+        a, _ = block_affinity([40, 40], make_rng(22, "blk"))
         with pytest.raises(NumericsError, match="eigendecomposition failed"):
             smallest_eigenvectors(normalized_laplacian(a), 2)
 
@@ -349,7 +400,58 @@ class TestInPlaceForms:
         assert a.tobytes() == (np.abs(c) + np.abs(c.T)).tobytes()
 
 
+def kmeans_one_restart_at_a_time(rows, k, restarts, max_iter, seed):
+    """Reference: the Lloyd loop run one restart at a time, centers moved by
+    per-cluster means, as `kmeans` ran before its restarts were stacked."""
+    rows = normalize_rows(np.asarray(rows, dtype=float))
+    n = rows.shape[0]
+    best_labels, best_wcss = None, np.inf
+    for restart in range(restarts):
+        centers = cluster._kmeanspp(rows, k, make_rng(seed, "kmeans", restart))
+        labels = np.zeros(n, dtype=int)
+        for _ in range(max_iter):
+            d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = d2.argmin(axis=1)
+            for c in range(k):
+                members = new_labels == c
+                if members.any():
+                    centers[c] = rows[members].mean(axis=0)
+            for c in range(k):
+                if not (new_labels == c).any():
+                    dist_own = ((rows - centers[new_labels]) ** 2).sum(axis=1)
+                    far = int(np.argmax(dist_own))
+                    centers[c] = rows[far]
+                    new_labels[far] = c
+            done = np.array_equal(new_labels, labels)
+            labels = new_labels
+            if done:
+                break
+        wcss = float(((rows - centers[labels]) ** 2).sum())
+        if wcss < best_wcss:
+            best_wcss, best_labels = wcss, labels
+    return best_labels
+
+
 class TestKmeans:
+    # C- and Fortran-ordered rows (the spectral embedding comes Fortran-
+    # ordered); integer-valued rows repeat points, which empties clusters
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stacked_restarts_match_one_at_a_time(self, order):
+        rng = make_rng(41, "km")
+        for case in range(60):
+            n = int(rng.integers(3, 120))
+            k = int(rng.integers(1, min(n, 10) + 1))
+            d = int(rng.integers(1, 11))
+            if case % 2:
+                x = rng.integers(-1, 2, (n, d)).astype(float)
+            else:
+                x = rng.standard_normal((n, d))
+            x = np.asarray(x, order=order)
+            restarts, max_iter = int(rng.integers(1, 12)), int(rng.integers(1, 20))
+            got = kmeans(x, k, restarts=restarts, max_iter=max_iter, seed=case).labels
+            want = kmeans_one_restart_at_a_time(x, k, restarts, max_iter, case)
+            assert np.array_equal(got, want), (case, n, k, d)
+
     def test_separated_groups(self):
         rng = make_rng(6, "km")
         a = rng.standard_normal((10, 3)) * 0.05 + np.array([5.0, 0.0, 0.0])

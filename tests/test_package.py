@@ -11,6 +11,7 @@ needs a demo or a caller.
 import ast
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,9 +65,38 @@ def test_every_public_name_has_a_user():
         f"uses: {unused}")
 
 
-def test_import_leaves_scipy_optimize_out():
-    # scipy.optimize alone would add about a third to every process's start-up
-    child = "import sys, invsen; print('scipy.optimize' in sys.modules)"
+def test_import_leaves_scipy_out():
+    # scipy.linalg and scipy.sparse.linalg alone would more than double every
+    # process's start-up
+    child = ("import sys, invsen; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    # with scipy unimportable, gen-data -> train -> evaluate -> report still run
+    child = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        from invsen.cli import main
+        d = sys.argv[1]
+        for argv in (
+                ["gen-data", "--k", "2", "--d", "10", "--rank", "2", "--n-per", "20",
+                 "--seed", "1", "--out", d + "/data"],
+                ["train", "--data", d + "/data/train.csv", "--epochs", "2",
+                 "--batch-size", "16", "--widths", "8", "--embed-dim", "4",
+                 "--bias-widths", "6", "--seed", "1", "--out", d + "/run"],
+                ["evaluate", "--checkpoint", d + "/run/checkpoint.invsen", "--data",
+                 d + "/data/train.csv", d + "/data/test.csv", "--k", "2",
+                 "--out", d + "/eval"],
+                ["report", d + "/eval/metrics.json", "--out", d + "/report"]):
+            if main(argv) != 0:
+                sys.exit(f"{argv[0]} failed")
+        """)
+    proc = subprocess.run([sys.executable, "-c", child, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "eval" / "metrics.json").exists()
+    assert any((tmp_path / "report").iterdir())
