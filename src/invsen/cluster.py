@@ -4,12 +4,13 @@ eigenvectors by seeded block Lanczos iteration (a dense `eigh` only for
 k = n), and k-means on the row-normalized spectral embedding.
 
 The affinity is the one n x n array an evaluation makes. It is built in
-place in BLOCK-row blocks and BLOCK x BLOCK tile pairs, by the same
+place in BLOCK-row blocks, through the threshold kernel that training uses
+(`sennet.shrink_magnitudes`), and BLOCK x BLOCK tile pairs, by the same
 arithmetic as the plain whole-array expressions, so it is the same bits;
 its exact symmetry check makes no n x n temporary either. The Laplacian
 is never formed: it is an operator over the affinity whose products take
 a block of rows at a time, so one matrix product reads A once for several
-Krylov vectors.
+Krylov vectors. The eigensolver takes only that operator.
 """
 
 from __future__ import annotations
@@ -20,24 +21,23 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError, ShapeError
 from .numkit import make_rng, mlp_forward, normalize_rows
-from .sennet import SEModel
+from .sennet import SEModel, shrink_magnitudes
 
 # Rows per block, and tile side, of the passes over n x n arrays. A tile
 # pair is 256 KB. At n = 3000 on a Xeon with 2 MB of L2 per core, 64 and
 # 128 time alike for the row passes and 128 is fastest for the tile pairs.
 BLOCK = 128
 
-# Orthonormality bound of the eigenvectors, and the floor of their
-# residual bound.
+# Bounds on the eigenvectors' orthonormality and on their residuals.
 EIG_TOL = 1e-8
+EIG_RESID = 1e-6
 
 # The block Lanczos solver: rows per Krylov block (k when k is larger),
 # basis vectors held before a thick restart, blocks between Rayleigh-Ritz
 # checks, blocks before it gives up, and the residual norm at which a Ritz
-# pair counts as converged (times the matrix's largest entry, when above
-# 1). With 1 BLAS thread a 4-row product takes about twice a 1-row one at
-# n = 600 and n = 3000, and 6- or 8-row blocks did not cut the 12-15
-# blocks a solve takes on the benchmark's affinities.
+# pair counts as converged. With 1 BLAS thread a 4-row product takes about
+# twice a 1-row one at n = 600 and n = 3000, and 6- or 8-row blocks did
+# not cut the 12-15 blocks a solve takes on the benchmark's affinities.
 KRYLOV_BLOCK = 4
 KRYLOV_BASIS = 48
 KRYLOV_CHECK = 2
@@ -48,7 +48,6 @@ KRYLOV_TOL = 1e-10
 @dataclass
 class ClusterLabels:
     labels: np.ndarray
-    k: int
 
 
 @dataclass
@@ -75,9 +74,9 @@ def build_affinity(model: SEModel, x: np.ndarray) -> np.ndarray:
     zero-diagonal by construction.
 
     One n x n array is made: the inner products, which are turned into |C|
-    in place one row block at a time (|alpha * copysign(|s| - beta, s)| is
-    |alpha| * max(|s| - beta, 0) bit for bit, so no sign is needed) and
-    then into A one tile pair at a time.
+    in place one row block at a time by `shrink_magnitudes` and |alpha|
+    (|alpha * copysign(|s| - beta, s)| is |alpha| * max(|s| - beta, 0) bit
+    for bit, so no sign is needed) and then into A one tile pair at a time.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
@@ -95,9 +94,7 @@ def build_affinity(model: SEModel, x: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     for i in range(0, n, BLOCK):
         rows = a[i:i + BLOCK]
-        np.abs(rows, out=rows)
-        rows -= beta
-        np.maximum(rows, 0.0, out=rows)
+        shrink_magnitudes(rows, beta, rows)
         rows *= alpha
     np.fill_diagonal(a, 0.0)
     for upper, lower in _tile_pairs(n):
@@ -115,17 +112,12 @@ def _tile_pairs(n: int):
             yield np.s_[i:i + BLOCK, j:j + BLOCK], np.s_[j:j + BLOCK, i:i + BLOCK]
 
 
-def _is_symmetric(m: np.ndarray) -> bool:
-    """Exact symmetry of a square matrix (a NaN anywhere fails it), checked
-    one tile pair at a time, so no n x n temporary is made."""
-    return all(np.array_equal(m[upper], m[lower].T)
-               for upper, lower in _tile_pairs(m.shape[0]))
-
-
 def _check_affinity(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"affinity must be square, got {a.shape}")
-    if not _is_symmetric(a):
+    # exact (a NaN anywhere fails it), one tile pair at a time, so no n x n
+    # temporary is made
+    if not all(np.array_equal(a[upper], a[lower].T) for upper, lower in _tile_pairs(len(a))):
         raise NumericsError("affinity is not symmetric")
     if a.min() < 0:
         raise NumericsError("affinity has negative entries")
@@ -177,37 +169,29 @@ def normalized_laplacian(a: np.ndarray) -> LaplacianOperator:
     return LaplacianOperator(a, dinv)
 
 
-def smallest_eigenvectors(lap: np.ndarray | LaplacianOperator, k: int):
-    """The k smallest eigenpairs of a symmetric matrix: an exactly
-    symmetric array, or an operator whose entries lie in [-1, 1], such as
-    `normalized_laplacian` returns.
+def smallest_eigenvectors(lap: LaplacianOperator, k: int):
+    """The k smallest eigenpairs of the operator that `normalized_laplacian`
+    returns; anything else, an array included, is refused with a
+    ShapeError.
 
     Returns (values ascending, vectors (n, k)). Block Lanczos iteration
     (`_block_lanczos`) finds them, starting and drawing any replacement
-    vector from the fixed stream make_rng(0, "eigsh"); a dense `eigh` runs
-    only for k = n (of `lap @ I` for an operator). Columns are orthonormal
-    within EIG_TOL and sign-fixed (largest-magnitude entry positive) so the
-    output is a deterministic function of the input.
+    vector from the fixed stream make_rng(0, "eigsh"); a dense `eigh` of
+    `lap @ I` runs only for k = n. Columns are orthonormal within EIG_TOL
+    and sign-fixed (largest-magnitude entry positive) so the output is a
+    deterministic function of the input.
     """
-    dense = not isinstance(lap, LaplacianOperator)
-    if dense:
-        lap = np.asarray(lap, dtype=float)
-    if len(lap.shape) != 2 or lap.shape[0] != lap.shape[1]:
-        raise ShapeError(f"matrix must be square, got {lap.shape}")
+    if not isinstance(lap, LaplacianOperator):
+        raise ShapeError("smallest_eigenvectors takes the LaplacianOperator of "
+                         f"normalized_laplacian, not {type(lap).__name__}")
     n = lap.shape[0]
     if k < 1 or k > n:
         raise ShapeError(f"k={k} out of range for n={n}")
-    if dense and not _is_symmetric(lap):
-        raise NumericsError("matrix is not symmetric")
-    # max |entry| (a normalized Laplacian's is 1), no n x n temporary
-    scale = max(lap.max(), -lap.min()) if dense else 1.0
     try:
         if k == n:
-            vals, vecs = np.linalg.eigh(lap if dense else lap @ np.eye(n))
+            vals, vecs = np.linalg.eigh(lap @ np.eye(n))
         else:
-            apply_rows = (lambda x: x @ lap) if dense else lap.rows
-            vals, vecs = _block_lanczos(apply_rows, n, k, make_rng(0, "eigsh"),
-                                        KRYLOV_TOL * max(1.0, scale))
+            vals, vecs = _block_lanczos(lap.rows, n, k, make_rng(0, "eigsh"), KRYLOV_TOL)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(vals)
@@ -216,7 +200,7 @@ def smallest_eigenvectors(lap: np.ndarray | LaplacianOperator, k: int):
     vecs = vecs * np.where(lead < 0, -1.0, 1.0)
     gram_err = np.abs(vecs.T @ vecs - np.eye(k)).max()
     resid = np.abs(lap @ vecs - vecs * vals).max()
-    if gram_err > EIG_TOL or resid > max(EIG_TOL, 1e-6 * max(1.0, scale)):
+    if gram_err > EIG_TOL or resid > EIG_RESID:
         raise NumericsError(
             f"eigenvector residuals too large (orthonormality {gram_err:.2e}, "
             f"residual {resid:.2e})")
@@ -357,7 +341,7 @@ def kmeans(rows: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
         if wcss < best_wcss:
             best_wcss = wcss
             best_labels = labels[restart]
-    return ClusterLabels(labels=best_labels, k=k)
+    return ClusterLabels(labels=best_labels)
 
 
 def _update_centers(rows: np.ndarray, labels: np.ndarray, centers: np.ndarray):

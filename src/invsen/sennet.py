@@ -10,7 +10,9 @@ Conventions used throughout:
   C.T @ X. Coefficients are c_ij = alpha * soft_threshold(u_j . v_i, beta)
   where u comes from the key net (applied to the reconstructed sample) and
   v from the query net (applied to the contributing sample), as in SENet.
-  The diagonal is identically zero.
+  The diagonal is identically zero. The threshold's magnitude
+  max(|s| - beta, 0) has one kernel, shrink_magnitudes, which training
+  (coefficients) and evaluation (cluster.build_affinity) share.
 * beta >= 0 is kept positive through a softplus reparameterization of an
   unconstrained scalar; alpha is a positive scale, fixed by default and
   trainable on request.
@@ -97,11 +99,20 @@ def se_vector_layout(in_dim: int, hidden, embed_dim: int,
     return [(n_net,), (n_net,), ()] + [()] * int(alpha_learnable)
 
 
+def shrink_magnitudes(s: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
+    """max(|s| - beta, 0) of each entry of s, written into out (s itself
+    for an in-place pass): the package's one soft threshold, positive
+    exactly on the live entries |s| > beta."""
+    np.abs(s, out=out)
+    out -= beta
+    return np.maximum(out, 0.0, out=out)
+
+
 def soft_threshold(t, beta):
     """sign(t) * max(0, |t| - beta): shrink toward zero, exact zero inside
     the dead zone |t| <= beta."""
     t = np.asarray(t, dtype=float)
-    return np.sign(t) * np.maximum(0.0, np.abs(t) - beta)
+    return np.sign(t) * shrink_magnitudes(t, beta, np.empty_like(t))
 
 
 def elastic_net_reg(c, delta: float):
@@ -127,11 +138,10 @@ def coefficients(model: SEModel, x: np.ndarray):
     reconstructed (key-embedded). The self-pairs i = j are exactly zero.
 
     The cache carries everything se_loss needs for the gradients;
-    coefficient_matrix drops it. The soft threshold is built in place:
-    besides boolean masks, three float arrays of the block's size are made
-    (s, thr and block). Evaluation does not come here:
-    cluster.build_affinity computes the same entries of |C| in one n x n
-    array.
+    coefficient_matrix drops it. The threshold is shrink_magnitudes, signed
+    in place: besides boolean masks, three float arrays of the block's size
+    are made (s, thr and block). cluster.build_affinity computes the same
+    entries of |C| through the same kernel, in one n x n array.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -148,10 +158,9 @@ def coefficients(model: SEModel, x: np.ndarray):
     alpha = float(model.alpha)
     # thr = where(live, sign(s) * (|s| - beta), 0.0), built in one array:
     # on live entries |s| - beta > 0, so copysign gives sign(s) * (|s| - beta)
-    thr = np.abs(s)
-    live = thr > beta
+    thr = shrink_magnitudes(s, beta, np.empty_like(s))
+    live = thr > 0.0
     np.fill_diagonal(live, False)
-    thr -= beta
     np.copysign(thr, s, out=thr)
     np.copyto(thr, 0.0, where=~live)
     block = alpha * thr
@@ -185,7 +194,6 @@ class SELossResult:
     recon: float
     reg: float
     l_align: float
-    coeffs: np.ndarray
     grad_beta_raw: float
     grad_alpha: float
     grad_key_out: np.ndarray
@@ -262,7 +270,7 @@ def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
     g_key_out = g_thr.T @ cache["query_out"]    # d s[i, j] / d u_j = v_i
 
     return SELossResult(
-        loss=loss, recon=recon, reg=reg, l_align=l_align, coeffs=block,
+        loss=loss, recon=recon, reg=reg, l_align=l_align,
         grad_beta_raw=g_beta_raw, grad_alpha=g_alpha,
         grad_key_out=g_key_out, grad_query_out=g_query_out,
         key_out=cache["key_out"], query_out=cache["query_out"],

@@ -9,6 +9,7 @@ import pytest
 from invsen import cluster, datagen, trainer
 from invsen.cluster import (
     BLOCK,
+    LaplacianOperator,
     SpectralConfig,
     build_affinity,
     kmeans,
@@ -17,10 +18,10 @@ from invsen.cluster import (
     spectral_cluster,
 )
 from invsen.debias import LossWeights
-from invsen.errors import NumericsError, ShapeError
+from invsen.errors import InvsenError, NumericsError, ShapeError
 from invsen.evalmetrics import accuracy
 from invsen.numkit import make_rng, normalize_rows
-from invsen.sennet import coefficient_matrix, init_se_model
+from invsen.sennet import coefficient_matrix, coefficients, init_se_model, soft_threshold
 
 from oracles import jacobi_eigh, kmeans_bruteforce, ref_normalized_laplacian
 
@@ -96,11 +97,15 @@ class TestAffinity:
         model.alpha[...] = alpha
         model.beta_raw[...] = -0.5  # beta ~ 0.47: live and dead pairs
         x = make_rng(31, "x").standard_normal((n, 5))
-        c = coefficient_matrix(model, normalize_rows(x))
+        c, cache = coefficients(model, normalize_rows(x))
         a = build_affinity(model, x)
         if n > 2:
             assert 0.05 < np.count_nonzero(a) / a.size < 0.95
         assert a.tobytes() == (np.abs(c) + np.abs(c.T)).tobytes()
+        # soft_threshold gives the same coefficients off the diagonal (a
+        # dead entry may be -0.0 there, which compares equal to 0.0)
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(alpha * soft_threshold(cache["s"], model.beta)[off], c[off])
 
     @pytest.mark.parametrize("shape", [(1, 4), (4,), (5, 3), (5, 4, 1)])
     def test_bad_input_shape_rejected(self, shape):
@@ -181,7 +186,9 @@ class TestNormalizedLaplacian:
 
 class TestSmallestEigenvectors:
     def test_diagonal_case(self):
-        vals, vecs = smallest_eigenvectors(np.diag([0.1, 0.5, 0.9]), 1)
+        # I - diag(0.9, 0.5, 0.1) = diag(0.1, 0.5, 0.9)
+        lap = LaplacianOperator(np.diag([0.9, 0.5, 0.1]), np.ones(3))
+        vals, vecs = smallest_eigenvectors(lap, 1)
         assert vals[0] == pytest.approx(0.1)
         assert np.allclose(np.abs(vecs[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
 
@@ -189,18 +196,28 @@ class TestSmallestEigenvectors:
         assert_null_space_spans_indicators([5, 4], make_rng(4, "blk"), permute=False)
 
     def test_matches_jacobi_oracle(self):
-        m = make_rng(5, "sym").standard_normal((8, 8))
-        sym = 0.5 * (m + m.T)
-        vals, vecs = smallest_eigenvectors(sym, 8)
-        ref_vals, _ = jacobi_eigh(sym)
+        a, _ = block_affinity([5, 3], make_rng(5, "blk"))
+        ref = ref_normalized_laplacian(a)
+        vals, vecs = smallest_eigenvectors(normalized_laplacian(a), 8)
+        ref_vals, _ = jacobi_eigh(ref)
         assert np.abs(vals - ref_vals).max() < 1e-8
         # orthonormality and eigen residuals
         assert np.abs(vecs.T @ vecs - np.eye(8)).max() < 1e-8
-        assert np.abs(sym @ vecs - vecs * vals).max() < 1e-8
+        assert np.abs(ref @ vecs - vecs * vals).max() < 1e-8
 
     def test_k_out_of_range(self):
-        with pytest.raises(ShapeError):
-            smallest_eigenvectors(np.eye(3), 4)
+        lap = normalized_laplacian(block_affinity([3], make_rng(6, "blk"))[0])
+        for k in (0, 4):
+            with pytest.raises(ShapeError):
+                smallest_eigenvectors(lap, k)
+
+    def test_array_rejected(self):
+        # the array itself, or the Laplacian formed from it: only the
+        # operator is taken
+        a, _ = block_affinity([3, 3], make_rng(7, "blk"))
+        for arg in (a, ref_normalized_laplacian(a)):
+            with pytest.raises(InvsenError, match="LaplacianOperator"):
+                smallest_eigenvectors(arg, 2)
 
     def test_one_edge_among_isolated_vertices(self):
         # L is the identity but for the edge's 2 x 2 block (eigenvalues 0
@@ -318,21 +335,6 @@ class TestLanczosSolver:
         ref_vals, ref_vecs = dense_smallest(ref_normalized_laplacian(a), 3)
         assert np.abs(vals - ref_vals).max() < 1e-12
         assert np.abs(vecs - ref_vecs).max() < 1e-8
-
-    def test_asymmetric_matrix_rejected(self):
-        # off by far less than the residual check would notice
-        lap = ref_normalized_laplacian(block_affinity([15, 15], make_rng(21, "blk"))[0])
-        lap[0, 1] += 1e-13
-        with pytest.raises(NumericsError, match="not symmetric"):
-            smallest_eigenvectors(lap, 2)
-
-    @pytest.mark.parametrize("where", TILE_PROBES)
-    def test_asymmetric_entry_in_any_tile_rejected(self, where):
-        lap = ref_normalized_laplacian(block_affinity(TILED_SIZES, make_rng(26, "blk"))[0])
-        i, j = where(lap.shape[0])
-        lap[i, j] += 1e-13
-        with pytest.raises(NumericsError, match="not symmetric"):
-            smallest_eigenvectors(lap, 2)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_no_n_by_n_array_made(self, trained_affinity, order):

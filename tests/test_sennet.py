@@ -43,7 +43,9 @@ def linear_embedding_model(wk, wq, alpha=1.0, beta_raw=-np.inf):
 
 class TestSoftThreshold:
     def test_dead_zone(self):
-        assert soft_threshold(0.7, 1.0) == 0.0
+        # |t| = beta exactly is dead too
+        for t in (0.7, 1.0, -1.0):
+            assert soft_threshold(t, 1.0) == 0.0
 
     def test_positive_shrink(self):
         assert soft_threshold(1.5, 1.0) == pytest.approx(0.5)
@@ -248,10 +250,11 @@ class TestSELoss:
                       shift=bias_group_shift(x, b), shift_weight=0.7)
         # each contributor moved into the bias group of the sample it rebuilds
         means = [x[b == k].mean(axis=0) for k in (0, 1)]
-        aligned = np.array([sum(res.coeffs[i, j] * (x[i] - means[b[i]] + means[b[j]])
+        c = coefficients(model, x)[0]
+        aligned = np.array([sum(c[i, j] * (x[i] - means[b[i]] + means[b[j]])
                                 for i in range(len(b))) for j in range(len(b))])
         l_align = 10.0 / (2 * len(b)) * (((aligned - x) ** 2).sum()
-                                         - ((res.coeffs.T @ x - x) ** 2).sum())
+                                         - ((c.T @ x - x) ** 2).sum())
         assert res.l_align == pytest.approx(l_align, rel=1e-12)
         # the plain objective's value is reported unchanged
         assert res.loss == se_loss(model, x, 10.0, 0.9).loss
