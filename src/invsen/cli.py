@@ -26,7 +26,7 @@ import numpy as np
 from . import cluster, datagen, trainer
 from .debias import LossWeights
 from .errors import ConfigError, DataFormatError, InvsenError, TrainingDiverged
-from .evalmetrics import METRIC_FIELDS, MetricsReport, discrete_mi, evaluate_labels
+from .evalmetrics import METRIC_FIELDS, discrete_mi, evaluate_labels
 
 # The thread-count setter of an OpenBLAS, by build: scipy-openblas with the
 # 64-bit interface (numpy's) or the 32-bit one (scipy's, present only when
@@ -298,7 +298,7 @@ def cmd_evaluate(args) -> int:
         kmeans_max_iter=opts["max_iter"], seed=opts["seed"])
 
     splits = {}
-    csv_lines = ["split," + MetricsReport.csv_header()]
+    csv_lines = [",".join(("split", *METRIC_FIELDS))]
     for path in args.data:
         ds = datagen.load_dataset(path)
         affinity = cluster.build_affinity(state.model, ds.X)
@@ -315,7 +315,7 @@ def cmd_evaluate(args) -> int:
         if ds.s is not None:
             rep = evaluate_labels(pred.labels, ds.s, ds.b)
             entry = rep.to_dict()
-            csv_lines.append(f"{ds.name}," + rep.csv_row())
+            csv_lines.append(",".join([ds.name, *(_fmt(entry[k]) for k in METRIC_FIELDS)]))
         else:
             entry = {k: None for k in METRIC_FIELDS}
             entry["n"] = ds.n

@@ -1,7 +1,7 @@
 """From a trained model to cluster labels: the affinity |C| + |C^T| of the
 full coefficient matrix, symmetric normalized Laplacian, its k smallest
-eigenvectors by seeded block Lanczos iteration (a dense `eigh` only for
-k = n), and k-means on the row-normalized spectral embedding.
+eigenvectors by seeded block Lanczos iteration, and k-means on the
+row-normalized spectral embedding.
 
 The affinity is the one n x n array an evaluation makes. It is built in
 place in BLOCK-row blocks, through the threshold kernel that training uses
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError, check_integers
 from .numkit import make_rng, mlp_forward, normalize_rows
 from .sennet import SEModel, shrink_magnitudes
 
@@ -58,6 +58,7 @@ class SpectralConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, ("k", "kmeans_restarts", "kmeans_max_iter", "seed"))
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.kmeans_restarts < 1:
@@ -176,10 +177,9 @@ def smallest_eigenvectors(lap: LaplacianOperator, k: int):
 
     Returns (values ascending, vectors (n, k)). Block Lanczos iteration
     (`_block_lanczos`) finds them, starting and drawing any replacement
-    vector from the fixed stream make_rng(0, "eigsh"); a dense `eigh` of
-    `lap @ I` runs only for k = n. Columns are orthonormal within EIG_TOL
-    and sign-fixed (largest-magnitude entry positive) so the output is a
-    deterministic function of the input.
+    vector from the fixed stream make_rng(0, "eigsh"). Columns are
+    orthonormal within EIG_TOL and sign-fixed (largest-magnitude entry
+    positive) so the output is a deterministic function of the input.
     """
     if not isinstance(lap, LaplacianOperator):
         raise ShapeError("smallest_eigenvectors takes the LaplacianOperator of "
@@ -188,10 +188,7 @@ def smallest_eigenvectors(lap: LaplacianOperator, k: int):
     if k < 1 or k > n:
         raise ShapeError(f"k={k} out of range for n={n}")
     try:
-        if k == n:
-            vals, vecs = np.linalg.eigh(lap @ np.eye(n))
-        else:
-            vals, vecs = _block_lanczos(lap.rows, n, k, make_rng(0, "eigsh"), KRYLOV_TOL)
+        vals, vecs = _block_lanczos(lap.rows, n, k, make_rng(0, "eigsh"), KRYLOV_TOL)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(vals)
@@ -209,7 +206,7 @@ def smallest_eigenvectors(lap: LaplacianOperator, k: int):
 
 def _block_lanczos(apply_rows, n: int, k: int, rng: np.random.Generator, tol: float):
     """The k smallest eigenpairs of the symmetric n x n matrix M whose
-    product with a block of rows is `apply_rows(x) = x M`, for k < n.
+    product with a block of rows is `apply_rows(x) = x M`, for k <= n.
 
     Block Lanczos (Golub & Underwood 1977) with full reorthogonalisation:
     each block is the product of the one before, projected off the whole

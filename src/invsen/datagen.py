@@ -2,12 +2,15 @@
 
 Samples live on k random low-dimensional subspaces of R^d. A binary bias
 label is derived from a parity rule over the cluster index (clusters split
-into two groups), optionally decorrelated by flipping with probability e,
-and each sample is displaced by bias_strength along one of two fixed unit
-vectors chosen by its bias label. The two displacement directions are
-orthogonal to every subspace basis, so the bias is a genuine confound: it
-rewards reconstructing from same-bias neighbors without changing true
-subspace membership.
+into two groups, bias_group), optionally decorrelated by flipping with
+probability e, and each sample is displaced by bias_strength along one of
+two fixed unit vectors chosen by its bias label. The two displacement
+directions are orthogonal to every subspace basis, so the bias is a
+genuine confound: it rewards reconstructing from same-bias neighbors
+without changing true subspace membership.
+
+`generate` is the one sampler: each part of the OOD and mixed-domain
+splits is a `generate` call on the config with its own flip rate and size.
 
 Datasets carry raw geometry; training and clustering unit-normalize each
 sample on entry. Saved CSV files therefore round-trip exactly.
@@ -17,11 +20,11 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check_integers
 from .numkit import make_rng
 
 _HEADER_RE = re.compile(
@@ -62,6 +65,8 @@ class DataGenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, ("k_subspaces", "ambient_dim", "subspace_rank",
+                              "n_per_cluster", "seed"))
         if self.k_subspaces < 1:
             raise ConfigError("k_subspaces must be >= 1")
         if self.subspace_rank < 1 or self.subspace_rank >= self.ambient_dim:
@@ -76,63 +81,49 @@ class DataGenConfig:
             raise ConfigError("label_flip must lie in [0, 0.5]")
 
 
-def _draw_structure(config: DataGenConfig):
-    """Orthonormal bases for every subspace plus two bias directions, all
-    mutually orthogonal (QR of one Gaussian draw, signs fixed)."""
-    k, d, r = config.k_subspaces, config.ambient_dim, config.subspace_rank
+def generate(config: DataGenConfig, name: str = "data") -> Dataset:
+    """One dataset drawn per the config, with flip rate config.bias_flip_e.
+    The subspace bases and bias directions depend on the seed and the
+    geometry (k, d, rank) only, not on n_per_cluster or the flip rates; the
+    samples are drawn from the stream named by name."""
+    k, d, r, n_per = (config.k_subspaces, config.ambient_dim, config.subspace_rank,
+                      config.n_per_cluster)
     needed = k * r + 2
     if needed > d:
         raise ConfigError(
             f"cannot draw {k} rank-{r} subspaces plus 2 orthogonal bias "
             f"directions in dimension {d} (need {needed})")
-    rng = make_rng(config.seed, "structure")
-    g = rng.standard_normal((d, needed))
-    q, rr = np.linalg.qr(g)
-    q = q * np.sign(np.diag(rr))  # deterministic sign convention
+    # orthonormal bases for every subspace plus two bias directions, all
+    # mutually orthogonal (QR of one Gaussian draw, signs fixed)
+    q, rr = np.linalg.qr(make_rng(config.seed, "structure").standard_normal((d, needed)))
+    q = q * np.sign(np.diag(rr))
     bases = [q[:, c * r:(c + 1) * r] for c in range(k)]
     bias_dirs = q[:, k * r:k * r + 2].T  # rows: direction for b = 0, b = 1
-    return bases, bias_dirs
 
-
-def _draw_samples(config: DataGenConfig, bases, bias_dirs, flip_e: float, tag: str,
-                  n_per_cluster: int | None = None) -> Dataset:
-    k, d, r = config.k_subspaces, config.ambient_dim, config.subspace_rank
-    n_per = config.n_per_cluster if n_per_cluster is None else n_per_cluster
-    rng = make_rng(config.seed, "samples", tag)
-    xs, ss = [], []
+    rng = make_rng(config.seed, "samples", name)
+    xs = []
     for c in range(k):
-        w = rng.standard_normal((n_per, r))
-        x = w @ bases[c].T
+        x = rng.standard_normal((n_per, r)) @ bases[c].T
         if config.noise_sigma > 0:
             x = x + config.noise_sigma * rng.standard_normal((n_per, d))
         xs.append(x)
-        ss.append(np.full(n_per, c, dtype=int))
     x = np.concatenate(xs, axis=0)
-    s = np.concatenate(ss)
-    n = x.shape[0]
+    s = np.repeat(np.arange(k), n_per)
+    n = s.size
 
     # bias chain: group rule over the cluster index, an optional label
     # flip, then a color-style flip with probability e
-    y = s % 2
+    y = bias_group(s)
     if config.label_flip > 0:
         y = np.where(rng.random(n) < config.label_flip, 1 - y, y)
     else:
         rng.random(n)  # keep the stream position independent of the knob
-    b = np.where(rng.random(n) < flip_e, 1 - y, y)
+    b = np.where(rng.random(n) < config.bias_flip_e, 1 - y, y)
     if config.bias_strength > 0:
         x = x + config.bias_strength * bias_dirs[b]
 
-    provenance = {
-        "config": asdict(config), "flip_e": flip_e, "tag": tag,
-        "bases": [u.copy() for u in bases], "bias_dirs": bias_dirs.copy(),
-    }
-    return Dataset(X=x, s=s, b=b.astype(int), name=tag, provenance=provenance)
-
-
-def generate(config: DataGenConfig, name: str = "data") -> Dataset:
-    """One dataset drawn per the config (flip rate = config.bias_flip_e)."""
-    bases, bias_dirs = _draw_structure(config)
-    return _draw_samples(config, bases, bias_dirs, config.bias_flip_e, name)
+    provenance = {"config": asdict(config), "bases": bases, "bias_dirs": bias_dirs}
+    return Dataset(X=x, s=s, b=b, name=name, provenance=provenance)
 
 
 def make_ood_split(config: DataGenConfig, train_e: float, test_e: float = 0.5):
@@ -140,13 +131,8 @@ def make_ood_split(config: DataGenConfig, train_e: float, test_e: float = 0.5):
     bias flip rate (and the sample draw) differs. train_e small keeps the
     bias strongly correlated with the clusters; test_e = 0.5 removes the
     correlation entirely."""
-    for e in (train_e, test_e):
-        if not 0.0 <= e <= 0.5:
-            raise ConfigError("flip rates must lie in [0, 0.5]")
-    bases, bias_dirs = _draw_structure(config)
-    train = _draw_samples(config, bases, bias_dirs, train_e, "train")
-    test = _draw_samples(config, bases, bias_dirs, test_e, "test")
-    return {"train": train, "test": test}
+    return {name: generate(replace(config, bias_flip_e=e), name)
+            for name, e in (("train", train_e), ("test", test_e))}
 
 
 def make_mixed_domain(config: DataGenConfig, e_biased: float,
@@ -156,35 +142,26 @@ def make_mixed_domain(config: DataGenConfig, e_biased: float,
     provenance["origin"] marks each sample 0 = biased split, 1 = unbiased."""
     if not 0.0 < n_ratio <= 1.0:
         raise ConfigError("n_ratio must lie in (0, 1]")
-    if not 0.0 <= e_biased <= 0.5:
-        raise ConfigError("e_biased must lie in [0, 0.5]")
-    bases, bias_dirs = _draw_structure(config)
     n_biased = int(round(n_ratio * config.n_per_cluster))
-    n_clean = config.n_per_cluster - n_biased
-    parts = []
-    origins = []
-    if n_biased > 0:
-        biased = _draw_samples(config, bases, bias_dirs, e_biased,
-                               "mixed-biased", n_per_cluster=n_biased)
-        parts.append(biased)
-        origins.append(np.zeros(biased.n, dtype=int))
-    if n_clean > 0:
-        clean = _draw_samples(config, bases, bias_dirs, 0.5,
-                              "mixed-clean", n_per_cluster=n_clean)
-        parts.append(clean)
-        origins.append(np.ones(clean.n, dtype=int))
-    x = np.concatenate([p.X for p in parts], axis=0)
-    s = np.concatenate([p.s for p in parts])
-    b = np.concatenate([p.b for p in parts])
-    origin = np.concatenate(origins)
-    perm = make_rng(config.seed, "mixed-shuffle").permutation(x.shape[0])
+    # both configs are built (and so checked) even when one part is empty
+    halves = ((replace(config, bias_flip_e=e_biased), n_biased, "mixed-biased"),
+              (replace(config, bias_flip_e=0.5), config.n_per_cluster - n_biased,
+               "mixed-clean"))
+    parts, origins = [], []
+    for origin, (half, n_per, name) in enumerate(halves):
+        if n_per > 0:
+            parts.append(generate(replace(half, n_per_cluster=n_per), name))
+            origins.append(np.full(parts[-1].n, origin))
+    perm = make_rng(config.seed, "mixed-shuffle").permutation(sum(p.n for p in parts))
     provenance = {
         "config": asdict(config), "e_biased": e_biased, "n_ratio": n_ratio,
-        "bases": [u.copy() for u in bases], "bias_dirs": bias_dirs.copy(),
-        "origin": origin[perm],
+        "bases": parts[0].provenance["bases"], "bias_dirs": parts[0].provenance["bias_dirs"],
+        "origin": np.concatenate(origins)[perm],
     }
-    return Dataset(X=x[perm], s=s[perm], b=b[perm], name="mixed",
-                   provenance=provenance)
+    return Dataset(X=np.concatenate([p.X for p in parts])[perm],
+                   s=np.concatenate([p.s for p in parts])[perm],
+                   b=np.concatenate([p.b for p in parts])[perm],
+                   name="mixed", provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Bias mitigation: classifier heads over the key and query embeddings,
-their cross-entropy and entropy-confusion losses, the bias-group estimates
+their cross-entropy and entropy-confusion losses, the bias-group offsets
 behind the aligned reconstruction and the counterfactual batch, and the
 invariance loss.
 
@@ -10,8 +10,9 @@ entropy-confusion gradient, which pushes the heads' posteriors toward
 uniform, (b) the reversed (negated) cross-entropy gradient scaled by
 lambda * mu, (c) the gradient of the aligned reconstruction term, and
 (d) the gradient of the invariance loss between each embedding and the
-embedding of the same sample moved into another bias group
-(counterfactual_inputs).
+embedding of the same sample moved into another bias group. Both (c) and
+(d) read one estimate of the bias groups' batch means per step
+(bias_group_offsets).
 
 (a) and (b) act only on what the current heads read, and both vanish once
 a head is confidently right: their logit gradients are p(log p + H) and
@@ -22,12 +23,12 @@ embeddings carry the bias in the first place: a sample's bias offset can
 only be rebuilt from contributors of its own bias group, so plain
 self-expression rewards coefficients, and hence embeddings, that follow
 the bias. With each contributor first moved into its target's bias group
-(bias_group_shift) that reward is gone. (d) then pulls the embeddings
-toward not moving when a sample's bias group is swapped. It is zero when
-no embedding moves under the estimated swap; the swap is estimated from
-one batch's group means, so it is exact only up to their sampling noise,
-and a read-out may still decode what that noise leaves. The gradient
-routing itself lives in the trainer.
+(the shift of bias_group_offsets) that reward is gone. (d) then pulls the
+embeddings toward not moving when a sample's bias group is swapped. It is
+zero when no embedding moves under the estimated swap; the swap is
+estimated from one batch's group means, so it is exact only up to their
+sampling noise, and a read-out may still decode what that noise leaves.
+The gradient routing itself lives in the trainer.
 """
 
 from __future__ import annotations
@@ -185,10 +186,23 @@ def entropy_confusion_grad_logits(probs: np.ndarray) -> np.ndarray:
     return probs * (logp + h) / probs.shape[0]
 
 
-def _group_means(x: np.ndarray, labels, n_classes: int):
-    """(x, labels, means, present): float batch, int labels, the mean row
-    of every bias group (zeros for a group absent from the batch), and
-    which groups are present."""
+def bias_group_offsets(x: np.ndarray, labels, n_classes: int = 2):
+    """(shift, x_cf) from one estimate of the bias groups' batch means m[k].
+
+    shift row i is m[b_i]. As se_loss's shift, it moves each contributor
+    x_i to x_i - m[b_i] + m[b_j] before it helps rebuild x_j: into x_j's
+    bias group.
+
+    x_cf is the batch with every sample moved into the next bias group:
+    row i is x_i + m[(b_i + 1) % K] - m[b_i]. When the bias displaces each
+    sample by an offset fixed per group, and the signal averages to zero
+    within each group (as samples of a linear subspace do), the group means
+    differ by the offsets up to sampling noise, so row i is sample i with
+    its bias label changed and its subspace content kept.
+
+    A group absent from the batch gives no estimate: rows of x_cf that
+    would move from or into it stay where they are.
+    """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
@@ -198,36 +212,10 @@ def _group_means(x: np.ndarray, labels, n_classes: int):
     present = np.array([np.any(labels == k) for k in range(n_classes)])
     means = np.array([x[labels == k].mean(axis=0) if present[k]
                       else np.zeros(x.shape[1]) for k in range(n_classes)])
-    return x, labels, means, present
-
-
-def bias_group_shift(x: np.ndarray, labels, n_classes: int = 2) -> np.ndarray:
-    """Row i is the batch mean of sample i's bias group.
-
-    As se_loss's shift, it moves each contributor x_i to
-    x_i - m[b_i] + m[b_j] before it helps rebuild x_j: into x_j's bias
-    group, by the same estimate of the offset as counterfactual_inputs.
-    """
-    _, labels, means, _ = _group_means(x, labels, n_classes)
-    return means[labels]
-
-
-def counterfactual_inputs(x: np.ndarray, labels, n_classes: int = 2) -> np.ndarray:
-    """The batch with every sample moved into the next bias group.
-
-    Row i is x_i + m[(b_i + 1) % K] - m[b_i], where m[k] is the mean of the
-    batch rows in bias group k. When the bias displaces each sample by an
-    offset fixed per group, and the signal averages to zero within each
-    group (as samples of a linear subspace do), the group means differ by
-    the offsets up to sampling noise, so row i is sample i with its bias
-    label changed and its subspace content kept. A group absent from the
-    batch gives no estimate: rows that would move from or into it stay
-    where they are.
-    """
-    x, labels, means, present = _group_means(x, labels, n_classes)
     target = (labels + 1) % n_classes
     moved = present[labels] & present[target]
-    return x + np.where(moved[:, None], means[target] - means[labels], 0.0)
+    shift = means[labels]
+    return shift, x + np.where(moved[:, None], means[target] - shift, 0.0)
 
 
 def invariance_loss(emb: np.ndarray, emb_cf: np.ndarray) -> float:

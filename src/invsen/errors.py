@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+every config class makes."""
+
+from numbers import Integral
 
 
 class InvsenError(Exception):
@@ -41,3 +44,15 @@ class TrainingDiverged(InvsenError, RuntimeError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report or {}
+
+
+def check_integers(config, names, lists=()) -> None:
+    """Refuse with a ConfigError any field of config named in names that is
+    not an integer (a bool is not one), and any field named in lists that
+    is not a tuple or list of integers."""
+    for name in (*names, *lists):
+        value = getattr(config, name)
+        items = value if name in lists else (value,)
+        if not isinstance(items, (tuple, list)) or any(
+                isinstance(v, bool) or not isinstance(v, Integral) for v in items):
+            raise ConfigError(f"{name} must be an integer or integers, not {value!r}")

@@ -248,18 +248,6 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in METRIC_FIELDS}
 
-    def csv_row(self) -> str:
-        cells = []
-        for k in METRIC_FIELDS:
-            v = getattr(self, k)
-            cells.append("" if v is None
-                         else repr(float(v)) if isinstance(v, float) else str(v))
-        return ",".join(cells)
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(METRIC_FIELDS)
-
 
 def evaluate_labels(pred, truth, bias=None) -> MetricsReport:
     """Bundle all metrics for one split."""

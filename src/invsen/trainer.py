@@ -5,8 +5,9 @@ Every step runs one forward pass of the batch through both nets, then one
 pass per side of the game (key net vs head g, query net vs head g'): it
 sums every term's gradient at the side's embedding and backpropagates the
 sum once through the net (with lam > 0, also the invariance gradient of
-the bias-swapped counterfactual batch, debias.counterfactual_inputs). The
-terms:
+the bias-swapped counterfactual batch). With lam > 0, the step estimates
+the bias groups' means once (debias.bias_group_offsets), for both the
+aligned shift and the counterfactual batch. The terms:
 
 * the heads minimize cross-entropy on the bias labels (their gradients
   never reach the feature nets);
@@ -15,10 +16,10 @@ terms:
   gradient through the embeddings negated and scaled by lam * mu (the
   reversal), so they learn to make the heads fail;
 * with lam > 0 the key/query nets, beta and alpha also minimize
-  lam * l_align (sennet.se_loss with debias.bias_group_shift): the change
-  in reconstruction cost when each contributor is first moved into its
-  target's bias group. At lam = 1 the reconstruction term is wholly the
-  aligned one, which no longer rewards following the bias;
+  lam * l_align (sennet.se_loss with the shift of bias_group_offsets):
+  the change in reconstruction cost when each contributor is first moved
+  into its target's bias group. At lam = 1 the reconstruction term is
+  wholly the aligned one, which no longer rewards following the bias;
 * the key/query nets also minimize lam * the invariance loss between the
   embeddings of the batch and those of its counterfactual
   (debias.invariance_loss, key plus query). Its gradient reaches each net
@@ -55,9 +56,8 @@ from .datagen import Dataset
 from .debias import (
     BiasHeads,
     LossWeights,
-    bias_group_shift,
+    bias_group_offsets,
     bias_posterior,
-    counterfactual_inputs,
     cross_entropy_grad_logits,
     cross_entropy_loss,
     entropy_confusion_grad_logits,
@@ -68,7 +68,7 @@ from .debias import (
     invariance_grads,
     invariance_loss,
 )
-from .errors import CheckpointError, ConfigError, NumericsError, ShapeError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, NumericsError, ShapeError, TrainingDiverged, check_integers
 from .numkit import (
     AdamState,
     adam_init,
@@ -110,14 +110,9 @@ class TrainConfig:
     beta0: float = 0.005
 
     def __post_init__(self):
-        # every count holds an integer, and every width list a tuple or list of them
-        for name in ("epochs", "batch_size", "seed", "eval_every", "hidden", "embed_dim",
-                     "bias_hidden", "bias_warmup_epochs", "n_bias_classes"):
-            value = getattr(self, name)
-            items = value if name in ("hidden", "bias_hidden") else (value,)
-            if not isinstance(items, (tuple, list)) or any(
-                    isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in items):
-                raise ConfigError(f"{name} must be an integer or integers, not {value!r}")
+        check_integers(self, ("epochs", "batch_size", "seed", "eval_every", "embed_dim",
+                              "bias_warmup_epochs", "n_bias_classes"),
+                       lists=("hidden", "bias_hidden"))
         if self.epochs < 0 or self.bias_warmup_epochs < 0:
             raise ConfigError("epochs and bias_warmup_epochs must be >= 0")
         if self.batch_size < 2:
@@ -209,8 +204,7 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
     if w.lam > 0:
         # contributors enter the reconstruction moved into their target's bias
         # group; the counterfactual batch moves every sample into the next one
-        shift = bias_group_shift(x, b, heads.n_bias_classes)
-        x_cf = counterfactual_inputs(x, b, heads.n_bias_classes)
+        shift, x_cf = bias_group_offsets(x, b, heads.n_bias_classes)
     se = se_loss(model, x, w.gamma, w.delta, shift=shift, shift_weight=w.lam)
 
     *g_nets, g_scalars = _segments(state.opt_main.grads, model.key_net, model.query_net)

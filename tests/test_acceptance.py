@@ -37,9 +37,8 @@ from invsen.cluster import SpectralConfig, build_affinity, spectral_cluster
 from invsen.datagen import DataGenConfig, generate, load_dataset, make_ood_split, save_dataset
 from invsen.debias import (
     LossWeights,
-    bias_group_shift,
+    bias_group_offsets,
     bias_posterior,
-    counterfactual_inputs,
     cross_entropy_grad_logits,
     cross_entropy_loss,
     entropy_confusion_grad_logits,
@@ -142,7 +141,7 @@ class TestCriterion1:
 
         # the same with the aligned reconstruction term weighted in: every
         # contributor moved into the bias group of the sample it rebuilds
-        shift = bias_group_shift(xb, make_rng(11, "c1").integers(0, 2, size=6))
+        shift = bias_group_offsets(xb, make_rng(11, "c1").integers(0, 2, size=6))[0]
 
         def se_aligned_lg(arrays):
             m = init_se_model(5, hidden=(8, 6), embed_dim=4,
@@ -205,7 +204,7 @@ class TestCriterion1:
             inv_embed_lg, [emb.copy(), emb_cf], tolerance=tol, max_coords=None)
 
         xi = make_rng(9, "c1").standard_normal((8, 5))
-        xi_cf = counterfactual_inputs(xi, labels)
+        xi_cf = bias_group_offsets(xi, labels)[1]
         net0 = numkit.init_mlp([5, 6, 4], ["relu", "tanh"], batchnorm=False,
                                rng=make_rng(10, "c1"))
 

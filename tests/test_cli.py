@@ -13,7 +13,7 @@ from invsen.cli import (EVAL_OPTIONS, GEN_OPTIONS, TRAIN_OPTIONS, _integer, _mer
                          _string, _switch, _widths, build_parser, main)
 from invsen import cluster
 from invsen.cluster import build_affinity, normalized_laplacian, smallest_eigenvectors
-from invsen.datagen import load_dataset
+from invsen.datagen import DataGenConfig, load_dataset, make_mixed_domain, save_dataset
 from invsen.trainer import load_checkpoint
 
 
@@ -59,6 +59,20 @@ class TestGenData:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["k"] == 2 and summary["d"] == 10
         assert "mi_bias_cluster" in summary["splits"]["data"]
+
+    def test_mixed_mode_matches_library(self, tmp_path):
+        code = run_cli("gen-data", "--k", "2", "--d", "10", "--rank", "2",
+                       "--n-per", "20", "--bias-strength", "1.5", "--e", "0.1",
+                       "--label-flip", "0.2", "--mode", "mixed", "--mixed-ratio", "0.25",
+                       "--seed", "4", "--out", str(tmp_path))
+        assert code == 0
+        config = DataGenConfig(k_subspaces=2, ambient_dim=10, subspace_rank=2,
+                               n_per_cluster=20, bias_strength=1.5, bias_flip_e=0.1,
+                               label_flip=0.2, seed=4)
+        save_dataset(make_mixed_domain(config, e_biased=0.1, n_ratio=0.25),
+                     str(tmp_path / "library.csv"))
+        assert ((tmp_path / "mixed.csv").read_bytes()
+                == (tmp_path / "library.csv").read_bytes())
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -357,6 +371,11 @@ class TestEvaluate:
         csv_lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "split,acc,nmi,ari,mi_pred_bias,mi_true_bias,n"
         assert len(csv_lines) == 3
+        # every cell is the repr of its metrics.json value, six per split
+        for line in csv_lines[1:]:
+            split, *cells = line.split(",")
+            entry = metrics["splits"][split]
+            assert cells == [repr(entry[k]) for k in csv_lines[0].split(",")[1:]]
 
     def test_missing_k_exits_2(self, tmp_path, data_dir, trained_dir):
         code = run_cli("evaluate", "--checkpoint",

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from invsen.cluster import SpectralConfig
 from invsen.datagen import (
     DataGenConfig,
     Dataset,
@@ -110,6 +113,23 @@ class TestOodSplit:
         assert mi_tr > 10 * mi_te
         assert mi_tr > 0.2  # strongly correlated at e = 0.1
 
+    @pytest.mark.parametrize("train_e,test_e", [(0.0, 0.5), (0.25, 0.1)])
+    def test_parts_are_generate_at_their_rates(self, train_e, test_e):
+        cfg = small_config(label_flip=0.2)
+        split = make_ood_split(cfg, train_e=train_e, test_e=test_e)
+        for name, e in (("train", train_e), ("test", test_e)):
+            ref = generate(replace(cfg, bias_flip_e=e), name)
+            assert np.array_equal(split[name].X, ref.X)
+            assert np.array_equal(split[name].s, ref.s)
+            assert np.array_equal(split[name].b, ref.b)
+
+    @pytest.mark.parametrize("rates", [dict(train_e=-0.1), dict(train_e=0.6),
+                                       dict(train_e=0.1, test_e=0.51),
+                                       dict(train_e=0.1, test_e=float("nan"))])
+    def test_out_of_range_rate_refused(self, rates):
+        with pytest.raises(ConfigError):
+            make_ood_split(small_config(), **rates)
+
     def test_same_e_splits_differ_only_by_draw(self):
         split = make_ood_split(small_config(), train_e=0.3, test_e=0.3)
         assert not np.array_equal(split["train"].X, split["test"].X)
@@ -135,10 +155,33 @@ class TestMixedDomain:
         mi_all = discrete_mi(ds.b, ds.s)
         assert mi_clean < mi_all < mi_biased
 
+    # 0.005 of 50 per cluster rounds the biased part to no sample at all
+    @pytest.mark.parametrize("n_ratio", [0.5, 0.005])
+    @pytest.mark.parametrize("e_biased", [-0.01, 0.7, float("nan")])
+    def test_out_of_range_e_biased_refused(self, e_biased, n_ratio):
+        with pytest.raises(ConfigError):
+            make_mixed_domain(small_config(), e_biased=e_biased, n_ratio=n_ratio)
+
     def test_ratio_one_is_pure_biased(self):
         ds = make_mixed_domain(small_config(), e_biased=0.1, n_ratio=1.0)
         assert np.all(ds.provenance["origin"] == 0)
         assert ds.n == 150
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (DataGenConfig, "k_subspaces", 2.5),
+    (DataGenConfig, "n_per_cluster", True),
+    (DataGenConfig, "ambient_dim", "20"),
+    (DataGenConfig, "seed", 1.5),
+    (SpectralConfig, "k", 2.5),
+    (SpectralConfig, "kmeans_restarts", 2.0),
+    (SpectralConfig, "seed", None),
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+def test_non_integer_count_refused(cls, field, value):
+    # the config classes refuse a non-integer count, as TrainConfig does
+    make = small_config if cls is DataGenConfig else lambda **kw: SpectralConfig(**{"k": 2, **kw})
+    with pytest.raises(ConfigError, match="must be an integer"):
+        make(**{field: value})
 
 
 class TestDatasetIO:

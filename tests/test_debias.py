@@ -4,9 +4,8 @@ import pytest
 from invsen import sennet
 from invsen.debias import (
     LossWeights,
-    bias_group_shift,
+    bias_group_offsets,
     bias_posterior,
-    counterfactual_inputs,
     cross_entropy_grad_logits,
     cross_entropy_loss,
     entropy_confusion_grad_logits,
@@ -114,7 +113,7 @@ class TestBiasGroupShift:
     def test_rows_are_group_means(self):
         x = make_rng(16, "x").standard_normal((7, 3))
         b = np.array([0, 1, 1, 0, 1, 0, 1])
-        shift = bias_group_shift(x, b)
+        shift = bias_group_offsets(x, b)[0]
         for i in range(7):
             assert np.allclose(shift[i], x[b == b[i]].mean(axis=0), atol=1e-15)
 
@@ -125,7 +124,7 @@ class TestBiasGroupShift:
         x = make_rng(10, "x").standard_normal((8, 5))
         plain = sennet.se_loss(model, x, 10.0, 0.9)
         aligned = sennet.se_loss(model, x, 10.0, 0.9,
-                                 shift=bias_group_shift(x, np.zeros(8)),
+                                 shift=bias_group_offsets(x, np.zeros(8))[0],
                                  shift_weight=1.0)
         assert aligned.loss == plain.loss
         assert abs(aligned.l_align) < 1e-12
@@ -134,7 +133,7 @@ class TestBiasGroupShift:
 
     def test_misaligned_labels(self):
         with pytest.raises(ShapeError):
-            bias_group_shift(np.zeros((4, 2)), [0, 1, 0])
+            bias_group_offsets(np.zeros((4, 2)), [0, 1, 0])
 
 
 class TestCounterfactualInputs:
@@ -144,29 +143,29 @@ class TestCounterfactualInputs:
         signal = np.concatenate([half, -half])
         b = np.array([0, 0, 0, 1, 1, 1] * 2)
         offsets = np.array([[3.0, 0, 0, 0, 0], [0, -2.0, 0, 0, 1.0]])
-        x_cf = counterfactual_inputs(signal + offsets[b], b)
+        x_cf = bias_group_offsets(signal + offsets[b], b)[1]
         assert np.abs(x_cf - (signal + offsets[1 - b])).max() < 1e-12
 
     def test_group_means_rotate_with_three_classes(self):
         x = make_rng(14, "x").standard_normal((12, 4))
         b = np.array([0, 1, 2, 2] * 3)
-        x_cf = counterfactual_inputs(x, b, n_classes=3)
+        x_cf = bias_group_offsets(x, b, n_classes=3)[1]
         for k in range(3):
             assert np.allclose(x_cf[b == k].mean(axis=0),
                                x[b == (k + 1) % 3].mean(axis=0), atol=1e-12)
 
     def test_absent_group_leaves_its_neighbours_in_place(self):
         x = make_rng(15, "x").standard_normal((6, 3))
-        assert np.array_equal(counterfactual_inputs(x, np.zeros(6, dtype=int)), x)
+        assert np.array_equal(bias_group_offsets(x, np.zeros(6, dtype=int))[1], x)
         b = np.array([0, 0, 1, 1, 0, 1])  # group 2 of 3 is absent
-        x_cf = counterfactual_inputs(x, b, n_classes=3)
+        x_cf = bias_group_offsets(x, b, n_classes=3)[1]
         assert np.array_equal(x_cf[b == 1], x[b == 1])  # 1 -> 2: no estimate
         shift = x[b == 1].mean(axis=0) - x[b == 0].mean(axis=0)
         assert np.allclose(x_cf[b == 0], x[b == 0] + shift, atol=1e-12)
 
     def test_misaligned_labels(self):
         with pytest.raises(ShapeError):
-            counterfactual_inputs(np.zeros((4, 2)), [0, 1, 0])
+            bias_group_offsets(np.zeros((4, 2)), [0, 1, 0])
 
 
 class TestInvarianceLoss:

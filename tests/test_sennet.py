@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invsen import numkit, sennet
-from invsen.debias import bias_group_shift
+from invsen.debias import bias_group_offsets
 from invsen.errors import ShapeError
 from invsen.numkit import DenseLayer, MlpParams, make_rng, mlp_backward, mlp_param_arrays
 from invsen.sennet import (
@@ -247,7 +247,7 @@ class TestSELoss:
         x = make_rng(10, "x").standard_normal((8, 5))
         b = make_rng(11, "b").integers(0, 2, size=8)
         res = se_loss(model, x, 10.0, 0.9,
-                      shift=bias_group_shift(x, b), shift_weight=0.7)
+                      shift=bias_group_offsets(x, b)[0], shift_weight=0.7)
         # each contributor moved into the bias group of the sample it rebuilds
         means = [x[b == k].mean(axis=0) for k in (0, 1)]
         c = coefficients(model, x)[0]

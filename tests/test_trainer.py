@@ -10,9 +10,8 @@ from invsen.datagen import DataGenConfig, Dataset, generate
 from invsen.debias import (
     BiasHeads,
     LossWeights,
-    bias_group_shift,
+    bias_group_offsets,
     bias_posterior,
-    counterfactual_inputs,
     cross_entropy_grad_logits,
     cross_entropy_loss,
     entropy_confusion_grad_logits,
@@ -147,7 +146,7 @@ class TestTrainStep:
         train_step(state, x, b, w)
 
         se = se_loss(twin.model, x, w.gamma, w.delta,
-                     shift=bias_group_shift(x, b, n_classes), shift_weight=w.lam)
+                     shift=bias_group_offsets(x, b, n_classes)[0], shift_weight=w.lam)
         p_key, cache_g = bias_posterior(twin.heads.g, se.key_out)
         p_query, cache_gp = bias_posterior(twin.heads.g_prime, se.query_out)
         g_grads, ce_u = mlp_backward(twin.heads.g, cache_g,
@@ -158,7 +157,7 @@ class TestTrainStep:
                                  entropy_confusion_grad_logits(p_key))
         _, conf_v = mlp_backward(twin.heads.g_prime, cache_gp,
                                  entropy_confusion_grad_logits(p_query))
-        x_cf = counterfactual_inputs(x, b, n_classes)
+        x_cf = bias_group_offsets(x, b, n_classes)[1]
         u_cf, cache_u_cf = mlp_forward(twin.model.key_net, x_cf)
         v_cf, cache_v_cf = mlp_forward(twin.model.query_net, x_cf)
         inv_u, inv_u_cf = invariance_grads(se.key_out, u_cf)
@@ -192,10 +191,10 @@ class TestTrainStep:
         _, rep = train_step(state, x, b, w)
 
         se = se_loss(twin.model, x, w.gamma, w.delta,
-                     shift=bias_group_shift(x, b), shift_weight=w.lam)
+                     shift=bias_group_offsets(x, b)[0], shift_weight=w.lam)
         pk, _ = bias_posterior(twin.heads.g, se.key_out)
         pq, _ = bias_posterior(twin.heads.g_prime, se.query_out)
-        x_cf = counterfactual_inputs(x, b)
+        x_cf = bias_group_offsets(x, b)[1]
         u_cf, _ = mlp_forward(twin.model.key_net, x_cf)
         v_cf, _ = mlp_forward(twin.model.query_net, x_cf)
         l_inv = invariance_loss(se.key_out, u_cf) + invariance_loss(se.query_out, v_cf)
