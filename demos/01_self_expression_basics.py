@@ -27,9 +27,12 @@ print("T_0.5(t) :", np.round(soft_threshold(ts, 0.5), 2))
 # --- the elastic-net penalty ------------------------------------------------
 # r(c) = delta*|c| + ((1-delta)/2) c^2 keeps coefficients small but, unlike
 # a pure L1 penalty, still rewards spreading weight over several samples.
+# One call gives the penalty and its subgradient, which is 0 at c = 0.
 cs = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+r, r_grad = elastic_net_reg(cs, 0.9)
 print("\nc        :", cs)
-print("r(c), d=0.9:", np.round(elastic_net_reg(cs, 0.9), 3))
+print("r(c), d=0.9 :", np.round(r, 3))
+print("r'(c), d=0.9:", np.round(r_grad, 3))
 
 # --- coefficients on a tiny union of two lines ------------------------------
 rng = make_rng(0, "demo1")

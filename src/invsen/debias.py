@@ -1,7 +1,8 @@
 """Bias mitigation: classifier heads over the key and query embeddings,
 their cross-entropy and entropy-confusion losses, the bias-group offsets
 behind the aligned reconstruction and the counterfactual batch, and the
-invariance loss.
+invariance loss. Each loss returns its value and its gradient (w.r.t. the
+head's logits, or both embeddings) from one call.
 
 The two heads model the posterior of the bias label given each embedding.
 During training the heads themselves are fit with plain cross-entropy on
@@ -145,45 +146,32 @@ def _check_labels(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return labels.astype(int)
 
 
-def cross_entropy_loss(probs: np.ndarray, labels) -> float:
-    """Mean negative log probability of the true bias class."""
+def cross_entropy_loss(probs: np.ndarray, labels):
+    """(loss, logit gradient): the mean negative log probability of the true
+    bias class, and its gradient w.r.t. the head's logits, (P - Y)/n."""
     probs = np.asarray(probs, dtype=float)
     labels = _check_labels(probs, labels)
-    p_true = probs[np.arange(probs.shape[0]), labels]
-    return float(-np.log(np.clip(p_true, PROB_EPS, 1.0 - PROB_EPS)).mean())
-
-
-def entropy_confusion_loss(probs: np.ndarray) -> float:
-    """Mean of sum_b Q(b|.) log Q(b|.); equals minus the posterior entropy.
-
-    Lies in [-log K, 0]; the minimum -log K is attained exactly at uniform
-    posteriors, so minimizing it w.r.t. the upstream features pushes the
-    head toward knowing nothing about the bias.
-    """
-    probs = np.asarray(probs, dtype=float)
-    logp = np.log(np.clip(probs, PROB_EPS, 1.0 - PROB_EPS))
-    return float((probs * logp).sum(axis=1).mean())
-
-
-def cross_entropy_grad_logits(probs: np.ndarray, labels) -> np.ndarray:
-    """Gradient of cross_entropy_loss w.r.t. the head's logits: (P - Y)/n."""
-    probs = np.asarray(probs, dtype=float)
-    labels = _check_labels(probs, labels)
+    rows = np.arange(probs.shape[0])
+    loss = float(-np.log(np.clip(probs[rows, labels], PROB_EPS, 1.0 - PROB_EPS)).mean())
     g = probs.copy()
-    g[np.arange(probs.shape[0]), labels] -= 1.0
-    return g / probs.shape[0]
+    g[rows, labels] -= 1.0
+    return loss, g / probs.shape[0]
 
 
-def entropy_confusion_grad_logits(probs: np.ndarray) -> np.ndarray:
-    """Gradient of entropy_confusion_loss w.r.t. the logits.
+def entropy_confusion_loss(probs: np.ndarray):
+    """(loss, logit gradient): the mean of sum_b Q(b|.) log Q(b|.), which is
+    minus the posterior entropy H, and its gradient w.r.t. the logits, row
+    by row p_m * (log p_m + H(p)) / n.
 
-    For each row: p_m * (log p_m + H(p)) / n, with H the row entropy. Zero
-    exactly at uniform rows, which is the loss's minimum.
+    The loss lies in [-log K, 0]; the minimum -log K is attained exactly at
+    uniform posteriors, where the gradient is zero, so minimizing it w.r.t.
+    the upstream features pushes the head toward knowing nothing about the
+    bias.
     """
     probs = np.asarray(probs, dtype=float)
     logp = np.log(np.clip(probs, PROB_EPS, 1.0 - PROB_EPS))
-    h = -(probs * logp).sum(axis=1, keepdims=True)
-    return probs * (logp + h) / probs.shape[0]
+    neg_h = (probs * logp).sum(axis=1)
+    return float(neg_h.mean()), probs * (logp - neg_h[:, None]) / probs.shape[0]
 
 
 def bias_group_offsets(x: np.ndarray, labels, n_classes: int = 2):
@@ -218,19 +206,15 @@ def bias_group_offsets(x: np.ndarray, labels, n_classes: int = 2):
     return shift, x + np.where(moved[:, None], means[target] - shift, 0.0)
 
 
-def invariance_loss(emb: np.ndarray, emb_cf: np.ndarray) -> float:
-    """Half the mean squared distance between each embedding and the
-    embedding of its counterfactual row; zero exactly when no embedding
-    moves between a row and its counterfactual row."""
+def invariance_loss(emb: np.ndarray, emb_cf: np.ndarray):
+    """(loss, grad_emb, grad_emb_cf): half the mean squared distance between
+    each embedding and the embedding of its counterfactual row, zero exactly
+    when no embedding moves between the two, and its gradients
+    +-(emb - emb_cf)/n."""
     diff = np.asarray(emb, dtype=float) - np.asarray(emb_cf, dtype=float)
-    return 0.5 * float((diff * diff).sum()) / diff.shape[0]
-
-
-def invariance_grads(emb: np.ndarray, emb_cf: np.ndarray):
-    """Gradients of invariance_loss w.r.t. emb and emb_cf: +-(emb - emb_cf)/n."""
-    diff = np.asarray(emb, dtype=float) - np.asarray(emb_cf, dtype=float)
+    loss = 0.5 * float((diff * diff).sum()) / diff.shape[0]
     diff /= diff.shape[0]
-    return diff, -diff
+    return loss, diff, -diff
 
 
 def head_accuracy(probs: np.ndarray, labels) -> float:

@@ -32,8 +32,7 @@ from .errors import ShapeError
 METRIC_FIELDS = ("acc", "nmi", "ari", "mi_pred_bias", "mi_true_bias", "n")
 
 
-def _as_labels(x) -> np.ndarray:
-    labels = getattr(x, "labels", x)
+def _as_labels(labels) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be 1-d, got shape {labels.shape}")

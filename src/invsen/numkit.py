@@ -105,15 +105,19 @@ def require_finite(name: str, *arrays) -> None:
 # Dense MLP with optional batchnorm
 # ---------------------------------------------------------------------------
 
+# the variance offset of every batchnorm layer
+BN_EPS = 1e-5
+
+
 @dataclass
 class BatchNorm:
     """Per-feature batch normalization: every forward pass normalizes with
-    the batch's own mean and variance (divided by the batch size, not n-1),
-    then applies scale and shift. No running statistics are kept."""
+    the batch's own mean and variance (divided by the batch size, not n-1)
+    plus BN_EPS, then applies scale and shift. No running statistics are
+    kept."""
 
     scale: np.ndarray
     shift: np.ndarray
-    eps: float = 1e-5
 
 
 @dataclass
@@ -234,7 +238,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
         bn_cache = None
         if lay.batchnorm is not None:
             bn = lay.batchnorm
-            inv_std = 1.0 / np.sqrt(z.var(axis=0) + bn.eps)  # divide by batch size
+            inv_std = 1.0 / np.sqrt(z.var(axis=0) + BN_EPS)  # divide by batch size
             xhat = (z - z.mean(axis=0)) * inv_std
             bn_cache = (xhat, inv_std)
             pre = bn.scale * xhat + bn.shift

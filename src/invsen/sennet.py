@@ -116,17 +116,14 @@ def soft_threshold(t, beta):
 
 
 def elastic_net_reg(c, delta: float):
-    """Elastic-net penalty r(c) = delta*|c| + ((1-delta)/2)*c^2."""
+    """(r, subgradient) of each entry of c: the elastic-net penalty
+    r(c) = delta*|c| + ((1-delta)/2)*c^2 and delta*sign(c) + (1-delta)*c,
+    which is 0 at c = 0."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     c = np.asarray(c, dtype=float)
-    return delta * np.abs(c) + 0.5 * (1.0 - delta) * c * c
-
-
-def elastic_net_reg_grad(c, delta: float):
-    """Subgradient of the elastic-net penalty (0 at c = 0)."""
-    c = np.asarray(c, dtype=float)
-    return delta * np.sign(c) + (1.0 - delta) * c
+    return (delta * np.abs(c) + 0.5 * (1.0 - delta) * c * c,
+            delta * np.sign(c) + (1.0 - delta) * c)
 
 
 def coefficients(model: SEModel, x: np.ndarray):
@@ -241,12 +238,12 @@ def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
     recon_mat = block.T @ x  # row j: sum_i C[i, j] x_i
     resid = recon_mat - x
     recon = (gamma / (2.0 * n)) * float((resid * resid).sum())
-    offdiag = ~np.eye(n, dtype=bool)
-    reg = float(elastic_net_reg(block[offdiag], delta).sum()) / n
+    r, r_grad = elastic_net_reg(block, delta)
+    reg = float(r[~np.eye(n, dtype=bool)].sum()) / n
     loss = recon + reg
 
     # d recon / d C = (gamma/n) * x @ resid.T ; d reg / d C = r'(C)/n
-    g_block = (gamma / n) * (x @ resid.T) + elastic_net_reg_grad(block, delta) / n
+    g_block = (gamma / n) * (x @ resid.T) + r_grad / n
     l_align = 0.0
     if shift is not None:
         shift = np.asarray(shift, dtype=float)

@@ -58,14 +58,11 @@ from .debias import (
     LossWeights,
     bias_group_offsets,
     bias_posterior,
-    cross_entropy_grad_logits,
     cross_entropy_loss,
-    entropy_confusion_grad_logits,
     entropy_confusion_loss,
     head_accuracy,
     head_vector_layout,
     init_bias_heads,
-    invariance_grads,
     invariance_loss,
 )
 from .errors import CheckpointError, ConfigError, NumericsError, ShapeError, TrainingDiverged, check_integers
@@ -219,18 +216,19 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
         cf = None
         if b is not None:
             p, h_cache = bias_posterior(head, emb)
-            ce.append(cross_entropy_loss(p, b))
-            conf.append(entropy_confusion_loss(p))
+            l_ce, ce_logits = cross_entropy_loss(p, b)
+            l_conf, conf_logits = entropy_confusion_loss(p)
+            ce.append(l_ce)
+            conf.append(l_conf)
             acc.append(head_accuracy(p, b))
             # every gradient precedes every update; the head learns from the
             # cross-entropy alone; the confusion pass is used at the embedding only
-            _, ce_in = mlp_backward(head, h_cache, cross_entropy_grad_logits(p, b), g_head)
+            _, ce_in = mlp_backward(head, h_cache, ce_logits, g_head)
             if w.lam > 0:
-                _, conf_in = mlp_backward(head, h_cache, entropy_confusion_grad_logits(p),
-                                          param_grads=False)
+                _, conf_in = mlp_backward(head, h_cache, conf_logits, param_grads=False)
                 emb_cf, cache_cf = mlp_forward(net, x_cf)
-                inv.append(invariance_loss(emb, emb_cf))
-                inv_in, inv_cf = invariance_grads(emb, emb_cf)
+                l_inv_side, inv_in, inv_cf = invariance_loss(emb, emb_cf)
+                inv.append(l_inv_side)
                 # reversal: the embedding climbs the head's cross-entropy
                 g_emb = g_emb + w.lam * conf_in - w.lam * w.mu * ce_in + w.lam * inv_in
                 cf = (cache_cf, w.lam * inv_cf)

@@ -24,7 +24,7 @@ def clone_mlp(params: MlpParams) -> MlpParams:
         bn = None
         if lay.batchnorm is not None:
             o = lay.batchnorm
-            bn = BatchNorm(o.scale.copy(), o.shift.copy(), o.eps)
+            bn = BatchNorm(o.scale.copy(), o.shift.copy())
         layers.append(DenseLayer(lay.w.copy(), lay.b.copy(), lay.activation, bn))
     return MlpParams(layers=layers)
 

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from invsen.numkit import BN_EPS
+
 
 # ---------------------------------------------------------------------------
 # forward pass, straight from the layer equations
@@ -34,7 +36,7 @@ def ref_mlp_forward(net, x):
             mean = [math.fsum(z[r][j] for r in range(nb)) / nb for j in range(d_out)]
             var = [math.fsum((z[r][j] - mean[j]) ** 2 for r in range(nb)) / nb
                    for j in range(d_out)]
-            z = [[float(bn.scale[j]) * (z[r][j] - mean[j]) / math.sqrt(var[j] + bn.eps)
+            z = [[float(bn.scale[j]) * (z[r][j] - mean[j]) / math.sqrt(var[j] + BN_EPS)
                   + float(bn.shift[j]) for j in range(d_out)] for r in range(nb)]
         if lay.activation == "relu":
             z = [[v if v > 0 else 0.0 for v in row] for row in z]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from invsen.cluster import ClusterLabels
 from invsen.errors import ShapeError
 from invsen.evalmetrics import (
     accuracy,
@@ -129,6 +130,14 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             accuracy([0, 1], [0, 1, 1])
+
+    @pytest.mark.parametrize("labels", [
+        np.zeros((3, 1), dtype=int), np.int64(0), ClusterLabels(labels=np.zeros(3, dtype=int)),
+    ], ids=["2-d", "0-d", "ClusterLabels"])
+    def test_labels_not_1d(self, labels):
+        # a ClusterLabels is not its label array: callers pass .labels
+        with pytest.raises(ShapeError):
+            accuracy(labels, [0, 1, 1])
 
     def test_matches_bruteforce_on_ties(self):
         # two or three labels and few samples: many bijections tie

@@ -62,19 +62,31 @@ class TestSoftThreshold:
 
 class TestElasticNet:
     def test_zero(self):
-        assert elastic_net_reg(0.0, 0.9) == 0.0
+        assert elastic_net_reg(0.0, 0.9)[0] == 0.0
 
     def test_pure_l1(self):
-        assert elastic_net_reg(2.0, 1.0) == pytest.approx(2.0)
+        assert elastic_net_reg(2.0, 1.0)[0] == pytest.approx(2.0)
 
     def test_mixed_value(self):
-        assert elastic_net_reg(-2.0, 0.9) == pytest.approx(0.9 * 2 + 0.05 * 4)
+        assert elastic_net_reg(-2.0, 0.9)[0] == pytest.approx(0.9 * 2 + 0.05 * 4)
 
     def test_symmetric_nonnegative(self):
         c = make_rng(1, "c").standard_normal(50)
-        r = elastic_net_reg(c, 0.7)
+        r = elastic_net_reg(c, 0.7)[0]
         assert np.all(r >= 0)
-        assert np.allclose(r, elastic_net_reg(-c, 0.7))
+        assert np.allclose(r, elastic_net_reg(-c, 0.7)[0])
+
+    def test_subgradient(self):
+        c = make_rng(2, "c").standard_normal(50)
+        assert np.array_equal(elastic_net_reg(c, 1.0)[1], np.sign(c))
+        assert np.array_equal(elastic_net_reg(c, 0.0)[1], c)
+        # exactly 0 at the kink, the derivative away from it
+        away, h = c[np.abs(c) > 1e-3], 1e-6
+        for delta in (0.0, 0.3, 0.9, 1.0):
+            assert elastic_net_reg(0.0, delta)[1] == 0.0
+            central = (elastic_net_reg(away + h, delta)[0]
+                       - elastic_net_reg(away - h, delta)[0]) / (2 * h)
+            assert np.allclose(elastic_net_reg(away, delta)[1], central, rtol=0, atol=1e-8)
 
 
 class TestCoefficients:
