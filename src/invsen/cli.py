@@ -289,18 +289,28 @@ def cmd_evaluate(args) -> int:
     opts = _merge(args, EVAL_OPTIONS)
     if opts["k"] is None:
         raise ConfigError("--k (number of clusters) is required")
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     state = trainer.load_checkpoint(args.checkpoint)
     label = opts["label"] or os.path.splitext(os.path.basename(args.checkpoint))[0]
     cfg = cluster.SpectralConfig(
         k=opts["k"], kmeans_restarts=opts["restarts"],
         kmeans_max_iter=opts["max_iter"], seed=opts["seed"])
+    # every input is checked before anything is written
+    datasets = [datagen.load_dataset(path) for path in args.data]
+    names = [ds.name for ds in datasets]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"--data: two files give the split name {name!r} "
+                              "(a split is named by its file name without extension)")
+    smallest = min(datasets, key=lambda ds: ds.n)
+    if cfg.k > smallest.n:
+        raise ConfigError(f"--k {cfg.k} exceeds the {smallest.n} samples of split "
+                          f"{smallest.name!r}")
+    out_dir = args.out
+    os.makedirs(out_dir, exist_ok=True)
 
     splits = {}
     csv_lines = [",".join(("split", *METRIC_FIELDS))]
-    for path in args.data:
-        ds = datagen.load_dataset(path)
+    for ds in datasets:
         affinity = cluster.build_affinity(state.model, ds.X)
         pred = cluster.spectral_cluster(affinity, cfg)
         if args.dump_affinity:

@@ -191,8 +191,6 @@ def smallest_eigenvectors(lap: LaplacianOperator, k: int):
         vals, vecs = _block_lanczos(lap.rows, n, k, make_rng(0, "eigsh"), KRYLOV_TOL)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
     lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]
     vecs = vecs * np.where(lead < 0, -1.0, 1.0)
     gram_err = np.abs(vecs.T @ vecs - np.eye(k)).max()
@@ -206,17 +204,19 @@ def smallest_eigenvectors(lap: LaplacianOperator, k: int):
 
 def _block_lanczos(apply_rows, n: int, k: int, rng: np.random.Generator, tol: float):
     """The k smallest eigenpairs of the symmetric n x n matrix M whose
-    product with a block of rows is `apply_rows(x) = x M`, for k <= n.
+    product with a block of rows is `apply_rows(x) = x M`, for k <= n:
+    values ascending, as `eigh` returns them, and vectors (n, k) in Fortran
+    order, whose columns k-means reads about twice as fast as C order's.
 
     Block Lanczos (Golub & Underwood 1977) with full reorthogonalisation:
     each block is the product of the one before, projected off the whole
-    basis twice and orthonormalized; `h` holds the basis's Rayleigh
-    quotient Q M Q^T, whose eigenpairs give the Ritz pairs (Rayleigh-Ritz).
-    A Ritz vector's residual is the part of the last product that the
-    basis leaves, so it costs no product of its own. When the basis is
-    full, a thick restart keeps the best Ritz vectors, and the next block
-    goes on from them. A basis that fills the whole space gives exact
-    pairs.
+    basis twice and orthonormalized by `_orthonormal_rows`; `h` holds the
+    basis's Rayleigh quotient Q M Q^T, whose eigenpairs give the Ritz pairs
+    (Rayleigh-Ritz). A Ritz vector's residual is the part of the last
+    product that the basis leaves, so it costs no product of its own. When
+    the basis is full, a thick restart keeps the best Ritz vectors, and the
+    next block goes on from them. A basis that fills the whole space gives
+    exact pairs.
     """
     b = min(max(KRYLOV_BLOCK, k), n)
     cap = min(n, max(KRYLOV_BASIS, k + 2 * b))
@@ -232,14 +232,14 @@ def _block_lanczos(apply_rows, n: int, k: int, rng: np.random.Generator, tol: fl
         h[m - width:m, :m] = _project_out(product, q[:m])
         if m == n:
             vals, y = np.linalg.eigh(h)
-            return vals[:k], q.T @ y[:, :k]
+            return vals[:k], (y[:, :k].T @ q).T
         block = _orthonormal_rows(product[:n - m], q[:m], rng, tol)
         full = m + len(block) > cap
         if full or step % KRYLOV_CHECK == 0:
             vals, y = np.linalg.eigh(h[:m, :m])
             resid = np.linalg.norm(y[m - width:m, :k].T @ product, axis=1)
             if resid.max() <= tol:
-                return vals[:k], q[:m].T @ y[:, :k]
+                return vals[:k], (y[:, :k].T @ q[:m]).T
             if full:
                 keep = min(k + (cap - k - b) // 2, cap - b)
                 q[:keep] = y[:, :keep].T @ q[:m]
@@ -264,29 +264,16 @@ def _project_out(x: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _orthonormal_rows(x: np.ndarray, q: np.ndarray, rng: np.random.Generator,
                       floor: float):
     """Orthonormal rows spanning those of x, which are orthogonal to the
-    rows of q: Cholesky QR twice, or Householder QR when x is far from full
-    rank. A row that adds no more than `floor` of a direction of its own
-    (the basis is nearly an invariant subspace) is replaced by a random one
-    off q, so that the block keeps its length."""
-    for _ in range(2):
-        gram = x @ x.T
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            break
-        if np.diag(chol).min() <= max(floor, 1e-6 * np.sqrt(np.diag(gram).max())):
-            break
-        x = np.linalg.inv(chol) @ x
-    else:
-        return x
-    f, r = np.linalg.qr(x.T)
-    f = f.T.copy()
-    while (lost := np.abs(np.diag(r)) <= floor).any():
-        f[lost] = rng.uniform(-1.0, 1.0, (int(lost.sum()), x.shape[1]))
-        _project_out(f, q)
-        f, r = np.linalg.qr(f.T)
-        f = f.T.copy()
-    return f
+    rows of q, by Householder QR. A row of x with no more than `floor` of a
+    direction of its own is replaced by a random one off q and the block
+    factored again, so that it keeps its length and spans the other rows."""
+    while True:
+        f, r = np.linalg.qr(x.T)
+        if not (lost := np.abs(np.diag(r)) <= floor).any():
+            return f.T.copy()
+        x = x.copy()  # the caller's rows stay as given
+        x[lost] = rng.uniform(-1.0, 1.0, (int(lost.sum()), x.shape[1]))
+        _project_out(x, q)
 
 
 def kmeans(rows: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
@@ -380,9 +367,8 @@ def _kmeanspp(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         if total > 0:
             idx = int(rng.choice(n, p=d2 / total))
         else:
-            # all remaining distances are zero: take the lowest unused index
-            unused = [i for i in range(n) if i not in chosen]
-            idx = unused[0] if unused else 0
+            # all remaining distances are zero: the lowest unused (k <= n)
+            idx = next(i for i in range(n) if i not in chosen)
         centers[c] = rows[idx]
         chosen.append(idx)
         d2 = np.minimum(d2, ((rows - centers[c]) ** 2).sum(axis=1))

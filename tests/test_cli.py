@@ -13,7 +13,8 @@ from invsen.cli import (EVAL_OPTIONS, GEN_OPTIONS, TRAIN_OPTIONS, _integer, _mer
                          _string, _switch, _widths, build_parser, main)
 from invsen import cluster
 from invsen.cluster import build_affinity, normalized_laplacian, smallest_eigenvectors
-from invsen.datagen import DataGenConfig, load_dataset, make_mixed_domain, save_dataset
+from invsen.datagen import (DataGenConfig, Dataset, load_dataset, make_mixed_domain,
+                            save_dataset)
 from invsen.trainer import load_checkpoint
 
 
@@ -397,6 +398,35 @@ class TestEvaluate:
             data.pop("meta")  # timestamps live only in meta
             payloads.append(json.dumps(data, sort_keys=True))
         assert payloads[0] == payloads[1]
+
+    def test_same_split_name_twice_exits_2(self, tmp_path, data_dir, trained_dir, capsys):
+        # a/test.csv and b/test.csv both name the split "test"; neither may
+        # overwrite the other's labels and metrics
+        other = tmp_path / "b"
+        other.mkdir()
+        (other / "test.csv").write_bytes((data_dir / "test.csv").read_bytes())
+        out = tmp_path / "e"
+        capsys.readouterr()
+        code = run_cli("evaluate", "--checkpoint", str(trained_dir / "checkpoint.invsen"),
+                       "--data", str(data_dir / "test.csv"), str(other / "test.csv"),
+                       "--k", "2", "--out", str(out))
+        assert code == 2
+        assert "'test'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_k_above_a_split_size_exits_2(self, tmp_path, data_dir, trained_dir, capsys):
+        # refused before the first split's labels are written
+        ds = load_dataset(str(data_dir / "test.csv"))
+        small = tmp_path / "small.csv"
+        save_dataset(Dataset(X=ds.X[:6], s=ds.s[:6], b=ds.b[:6]), str(small))
+        out = tmp_path / "e"
+        capsys.readouterr()
+        code = run_cli("evaluate", "--checkpoint", str(trained_dir / "checkpoint.invsen"),
+                       "--data", str(data_dir / "train.csv"), str(small),
+                       "--k", "7", "--out", str(out))
+        assert code == 2
+        assert "'small'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("corrupt", [_drop_config, _unknown_config_key, _misnamed_array,
                                          _version_1, _version_2, _version_3,

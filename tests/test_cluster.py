@@ -243,6 +243,7 @@ class TestSmallestEigenvectors:
     def test_operator_with_k_equal_n(self):
         a, _ = block_affinity([4, 3], make_rng(27, "blk"))
         vals, vecs = smallest_eigenvectors(normalized_laplacian(a), 7)
+        assert np.all(np.diff(vals) >= 0)  # ascending, as eigh gives them
         ref = ref_normalized_laplacian(a)
         assert np.abs(vals - np.linalg.eigvalsh(ref)).max() < 1e-12
         assert np.abs(ref @ vecs - vecs * vals).max() < 1e-12
@@ -274,6 +275,8 @@ class TestLanczosSolver:
     def test_matches_dense_on_trained_affinity(self, trained_affinity):
         a, truth = trained_affinity
         vals, vecs = smallest_eigenvectors(normalized_laplacian(a), 3)
+        # k-means reads a column at a time; in C order it takes about twice as long
+        assert vecs.flags.f_contiguous
         ref_vals, ref_vecs = dense_smallest(ref_normalized_laplacian(a), 3)
         assert np.abs(vals - ref_vals).max() < 1e-8
         assert np.abs(vecs - ref_vecs).max() < 1e-8
@@ -329,6 +332,7 @@ class TestLanczosSolver:
 
         lap.rows = counted
         vals, vecs = smallest_eigenvectors(lap, 3)
+        assert np.all(np.diff(vals) >= 0)  # ascending after restarts too
         # the basis was restarted: more rows went through the product than
         # it holds (the last 3 are the residual check's)
         assert sum(products) - 3 > cluster.KRYLOV_BASIS
@@ -386,6 +390,58 @@ class TestLanczosSolver:
         a, _ = block_affinity([40, 40], make_rng(22, "blk"))
         with pytest.raises(NumericsError, match="eigendecomposition failed"):
             smallest_eigenvectors(normalized_laplacian(a), 2)
+
+
+def block_off_basis(seed, n=50, basis=8, rows=4):
+    """A random orthonormal basis q (rows) and a block of unit-scale random
+    rows, which each test projects off q, as the solver does before it calls
+    `_orthonormal_rows`."""
+    rng = make_rng(seed, "orth")
+    q = np.linalg.qr(rng.standard_normal((n, basis)))[0].T.copy()
+    x = rng.standard_normal((rows, n))
+    return q, x
+
+
+def assert_orthonormal_off(f, q):
+    assert np.abs(f @ f.T - np.eye(len(f))).max() <= 1e-14
+    assert np.abs(f @ q.T).max() <= 1e-14
+
+
+class TestOrthonormalRows:
+    def test_full_rank_block(self):
+        q, x = block_off_basis(1)
+        cluster._project_out(x, q)
+        f = cluster._orthonormal_rows(x.copy(), q, make_rng(0, "t"), cluster.KRYLOV_TOL)
+        assert f.shape == x.shape
+        assert_orthonormal_off(f, q)
+        # the same span: x lies in span(f), and f has as many rows as x
+        assert np.abs(x - (x @ f.T) @ f).max() <= 1e-14
+
+    @pytest.mark.parametrize("spoil", ["row-in-span-q", "equal-rows"])
+    def test_lost_rows_replaced(self, spoil):
+        q, x = block_off_basis(2)
+        if spoil == "row-in-span-q":
+            x[1] = make_rng(3, "c").standard_normal(len(q)) @ q
+        else:
+            x[2] = x[1]
+        cluster._project_out(x, q)
+        given = x.copy()
+        f = cluster._orthonormal_rows(x, q, make_rng(0, "t"), cluster.KRYLOV_TOL)
+        # the solver reads its product again after this call
+        assert np.array_equal(x, given)
+        assert f.shape == x.shape  # the block keeps its length
+        assert_orthonormal_off(f, q)
+        # the rows that had a direction of their own are still spanned
+        kept = x[[0, 2, 3]] if spoil == "row-in-span-q" else x[[0, 1, 3]]
+        assert np.abs(kept - (kept @ f.T) @ f).max() <= 1e-14
+
+    def test_deterministic(self):
+        q, x = block_off_basis(4)
+        x[3] = x[0]
+        cluster._project_out(x, q)
+        first, second = (cluster._orthonormal_rows(x.copy(), q, make_rng(5, "t"),
+                                                   cluster.KRYLOV_TOL) for _ in range(2))
+        assert first.tobytes() == second.tobytes()
 
 
 class TestInPlaceForms:
