@@ -1,8 +1,11 @@
 """Command-line interface: gen-data, train, evaluate, report.
 
 Exit codes: 0 success, 1 I/O or runtime failure (a malformed dataset,
-checkpoint or metrics file included), 2 usage/config error (a malformed
-INVSEN_THREADS included), 3 training divergence. Each subcommand's options
+checkpoint or metrics file included), 2 usage/config error (an evaluate
+split whose feature width differs from the checkpoint's included), 3
+training divergence. `train` writes history.csv with one row per epoch.
+BLAS threads are set the standard way, by OPENBLAS_NUM_THREADS (or
+OMP_NUM_THREADS) before the process starts. Each subcommand's options
 are declared once, in its option table (GEN_OPTIONS, TRAIN_OPTIONS,
 EVAL_OPTIONS): the table makes the flags and reads the flat JSON config file
 (--config), whose keys are the flag names with underscores (`lam` for
@@ -15,7 +18,6 @@ command line). All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -27,42 +29,6 @@ from . import cluster, datagen, trainer
 from .debias import LossWeights
 from .errors import ConfigError, DataFormatError, InvsenError, TrainingDiverged
 from .evalmetrics import METRIC_FIELDS, discrete_mi, evaluate_labels
-
-# The thread-count setter of an OpenBLAS, by build: scipy-openblas with the
-# 64-bit interface (numpy's) or the 32-bit one (scipy's, present only when
-# the caller has loaded scipy; invsen does not), or plain OpenBLAS
-_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                         "openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-def _apply_thread_cap() -> None:
-    """Honor INVSEN_THREADS: set the thread count of every OpenBLAS loaded
-    in this process through its own setter. Environment variables would
-    come too late, since importing invsen has loaded BLAS already. A value
-    that is not a positive integer below 2^31 is a ConfigError; unset or
-    empty, BLAS is left alone."""
-    cap = os.environ.get("INVSEN_THREADS")
-    if not cap:
-        return
-    # past ten characters n is out of range (and int() may refuse it)
-    n = int(cap) if cap.isdecimal() and len(cap) <= 10 else 0
-    if not 1 <= n < 2 ** 31:  # the setters take a C int
-        raise ConfigError(
-            f"INVSEN_THREADS must be a positive integer below 2^31, not {cap!r}")
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return  # no /proc: not Linux, nothing to find the libraries by
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for symbol in _OPENBLAS_SET_THREADS:
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(n)
-                break
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +184,7 @@ TRAIN_OPTIONS = {
     "lr_main": (_real, 1e-3),
     "lr_bias": (_real, 1e-4), "gamma": (_real, 200.0), "delta": (_real, 0.9),
     "lam": (_real, 0.0), "mu": (_real, 1.0), "seed": (_integer, 0),
-    "eval_every": (_integer, 1), "widths": (_widths, "64,64,64"),
+    "widths": (_widths, "64,64,64"),
     "embed_dim": (_integer, 64),
     "bias_widths": (_widths, "64,32,16"),
     "bias_batchnorm": (_switch, 1), "bias_warmup": (_integer, 0),
@@ -227,13 +193,11 @@ TRAIN_OPTIONS = {
 }
 
 
-def history_csv_text(history, eval_every, final_epoch) -> str:
+def history_csv_text(history) -> str:
+    """One row per epoch, the fields of trainer.HISTORY_FIELDS."""
     fields = trainer.HISTORY_FIELDS
     lines = [",".join(fields)]
-    for rec in history:
-        epoch = rec["epoch"]
-        if epoch % eval_every == 0 or epoch == final_epoch:
-            lines.append(",".join(_fmt(rec.get(k)) for k in fields))
+    lines += [",".join(_fmt(rec.get(k)) for k in fields) for rec in history]
     return "\n".join(lines) + "\n"
 
 
@@ -247,7 +211,7 @@ def cmd_train(args) -> int:
         lr_main=opts["lr_main"], lr_bias=opts["lr_bias"],
         weights=LossWeights(gamma=opts["gamma"], delta=opts["delta"],
                             lam=opts["lam"], mu=opts["mu"]),
-        seed=opts["seed"], eval_every=opts["eval_every"],
+        seed=opts["seed"],
         hidden=opts["widths"], embed_dim=opts["embed_dim"],
         bias_hidden=opts["bias_widths"], bias_batchnorm=opts["bias_batchnorm"],
         bias_warmup_epochs=opts["bias_warmup"], n_bias_classes=opts["n_bias_classes"],
@@ -267,8 +231,7 @@ def cmd_train(args) -> int:
     ckpt = os.path.join(out_dir, "checkpoint.invsen")
     trainer.save_checkpoint(state, ckpt)
     _write_text_atomic(os.path.join(out_dir, "history.csv"),
-                       history_csv_text(state.history, config.eval_every,
-                                        config.epochs))
+                       history_csv_text(state.history))
     print(json.dumps({"checkpoint": ckpt, "epochs": state.epoch,
                       "final_l_se": state.history[-1]["l_se"] if state.history else None}))
     return 0
@@ -301,6 +264,10 @@ def cmd_evaluate(args) -> int:
         if names.count(name) > 1:
             raise ConfigError(f"--data: two files give the split name {name!r} "
                               "(a split is named by its file name without extension)")
+    for ds in datasets:
+        if ds.d != state.model.in_dim:
+            raise ConfigError(f"--data: split {ds.name!r} has {ds.d} features, the "
+                              f"checkpoint's model takes {state.model.in_dim}")
     smallest = min(datasets, key=lambda ds: ds.n)
     if cfg.k > smallest.n:
         raise ConfigError(f"--k {cfg.k} exceeds the {smallest.n} samples of split "
@@ -458,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_thread_cap()
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

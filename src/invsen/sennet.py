@@ -46,7 +46,6 @@ class SEModel:
 
     key_net: MlpParams
     query_net: MlpParams
-    embed_dim: int
     beta_raw: np.ndarray
     alpha: np.ndarray
     alpha_learnable: bool = False
@@ -86,9 +85,8 @@ def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
     beta_raw[...] = softplus_inv(beta0)
     alpha_arr = learnable_alpha[0] if learnable_alpha else np.empty(())
     alpha_arr[...] = float(alpha)
-    return SEModel(key_net=key_net, query_net=query_net, embed_dim=embed_dim,
-                   beta_raw=beta_raw, alpha=alpha_arr,
-                   alpha_learnable=alpha_learnable)
+    return SEModel(key_net=key_net, query_net=query_net, beta_raw=beta_raw,
+                   alpha=alpha_arr, alpha_learnable=alpha_learnable)
 
 
 def se_vector_layout(in_dim: int, hidden, embed_dim: int,

@@ -38,9 +38,10 @@ one fused update per optimizer.
 
 A checkpoint stores the config and the input width, from which
 init_state rebuilds the state, and the six vectors of _state_arrays: each
-optimizer's parameters, m and v. _layout sizes the two parameter vectors
-from the config alone, so a checkpoint is checked against its payload
-length before anything is allocated.
+optimizer's parameters, m and v. _layout gives the segments of the two
+parameter vectors from the config alone: init_state sizes the vectors by
+it, train_step cuts the gradient vectors by it, and a checkpoint is
+checked against its payload length before anything is allocated.
 """
 
 from __future__ import annotations
@@ -73,13 +74,12 @@ from .numkit import (
     make_rng,
     mlp_backward,
     mlp_forward,
-    mlp_param_arrays,
     normalize_rows,
 )
 from .sennet import SEModel, init_se_model, se_loss, se_vector_layout
 
 CHECKPOINT_MAGIC = b"INVSEN01"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 DIVERGENCE_LIMIT = 1e6
 
 HISTORY_FIELDS = ("epoch", "l_se", "l_conf_key", "l_conf_query",
@@ -94,7 +94,6 @@ class TrainConfig:
     lr_bias: float = 1e-4
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
-    eval_every: int = 1
     # architecture (key/query hidden widths, embedding dim, head widths)
     hidden: tuple = (64, 64, 64)
     embed_dim: int = 64
@@ -107,7 +106,7 @@ class TrainConfig:
     beta0: float = 0.005
 
     def __post_init__(self):
-        check_integers(self, ("epochs", "batch_size", "seed", "eval_every", "embed_dim",
+        check_integers(self, ("epochs", "batch_size", "seed", "embed_dim",
                               "bias_warmup_epochs", "n_bias_classes"),
                        lists=("hidden", "bias_hidden"))
         if self.epochs < 0 or self.bias_warmup_epochs < 0:
@@ -116,8 +115,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2 (self-expression needs peers)")
         if not (0 < self.lr_main < np.inf and 0 < self.lr_bias < np.inf):
             raise ConfigError("learning rates must be positive and finite")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
         self.hidden = tuple(int(h) for h in self.hidden)
         self.bias_hidden = tuple(int(h) for h in self.bias_hidden)
         if min((self.embed_dim, *self.hidden, *self.bias_hidden)) < 1:
@@ -140,7 +137,7 @@ def init_state(config: TrainConfig, in_dim: int) -> TrainState:
     the optimizers' parameter vectors. RNG consumption is fixed (key net,
     query net, head g, head g') so trajectories only depend on the seed,
     never on which loss terms are active."""
-    n_main, n_bias = _layout(config, in_dim)
+    n_main, n_bias = (numkit.flat_size(layout) for layout in _layout(config, in_dim))
     opt_main = adam_init(np.empty(n_main), config.lr_main)
     opt_bias = adam_init(np.empty(n_bias), config.lr_bias)
     rng = make_rng(config.seed, "init")
@@ -158,22 +155,13 @@ def init_state(config: TrainConfig, in_dim: int) -> TrainState:
 
 
 def _layout(config: TrainConfig, in_dim: int):
-    """(n_main, n_bias): the values in the two parameter vectors of
-    init_state(config, in_dim). Integer arithmetic over the config; nothing
-    is allocated."""
-    n_main = numkit.flat_size(se_vector_layout(
-        in_dim, config.hidden, config.embed_dim, config.alpha_learnable))
-    n_bias = numkit.flat_size(head_vector_layout(
-        config.embed_dim, config.bias_hidden, config.n_bias_classes,
-        config.bias_batchnorm))
-    return n_main, n_bias
-
-
-def _segments(vec: np.ndarray, *nets):
-    """Consecutive views of vec: one per net, as long as its trainable
-    arrays, then the rest."""
-    sizes = [numkit.flat_size(a.shape for a in mlp_param_arrays(net)) for net in nets]
-    return numkit.flat_views(vec, [(n,) for n in sizes] + [(vec.size - sum(sizes),)])
+    """(main, bias): the segment shapes of the two parameter vectors of
+    init_state(config, in_dim), as se_vector_layout and head_vector_layout
+    give them. Integer arithmetic over the config; nothing is allocated."""
+    return (se_vector_layout(in_dim, config.hidden, config.embed_dim,
+                             config.alpha_learnable),
+            head_vector_layout(config.embed_dim, config.bias_hidden,
+                               config.n_bias_classes, config.bias_batchnorm))
 
 
 def train_step(state: TrainState, batch: np.ndarray, bias_labels,
@@ -204,15 +192,16 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
         shift, x_cf = bias_group_offsets(x, b, heads.n_bias_classes)
     se = se_loss(model, x, w.gamma, w.delta, shift=shift, shift_weight=w.lam)
 
-    *g_nets, g_scalars = _segments(state.opt_main.grads, model.key_net, model.query_net)
-    g_heads = _segments(state.opt_bias.grads, heads.g, heads.g_prime)[:2]
+    main_layout, bias_layout = _layout(state.config, model.in_dim)
+    g_key, g_query, g_beta, *g_alpha = numkit.flat_views(state.opt_main.grads, main_layout)
+    g_heads = numkit.flat_views(state.opt_bias.grads, bias_layout)
     ce, conf, acc, inv = [], [], [], []
     # one pass per side of the game: (net, head, embedding, forward cache,
     # se_loss's gradient at the embedding, the net's and the head's gradients)
     for net, head, emb, cache, g_emb, g_net, g_head in zip(
             (model.key_net, model.query_net), (heads.g, heads.g_prime),
             (se.key_out, se.query_out), (se.key_cache, se.query_cache),
-            (se.grad_key_out, se.grad_query_out), g_nets, g_heads):
+            (se.grad_key_out, se.grad_query_out), (g_key, g_query), g_heads):
         cf = None
         if b is not None:
             p, h_cache = bias_posterior(head, emb)
@@ -236,9 +225,9 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
         mlp_backward(net, cache, g_emb, g_net)
         if cf is not None:
             mlp_backward(net, *cf, g_net, add=True)
-    g_scalars[0] = se.grad_beta_raw
-    if model.alpha_learnable:
-        g_scalars[1] = se.grad_alpha
+    g_beta[...] = se.grad_beta_raw
+    if g_alpha:
+        g_alpha[0][...] = se.grad_alpha
 
     total_report = se.loss
     if b is None:
@@ -413,7 +402,7 @@ def _restore_state(manifest: dict, raw: bytes, offset: int, path: str) -> TrainS
     cfg_dict["weights"] = LossWeights(**cfg_dict["weights"])
     config = TrainConfig(**cfg_dict)
     in_dim = manifest["in_dim"]
-    count = 3 * sum(_layout(config, in_dim))
+    count = 3 * sum(numkit.flat_size(layout) for layout in _layout(config, in_dim))
     have = len(raw) - offset
     if count <= 0:
         raise CheckpointError(

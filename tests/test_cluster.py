@@ -116,19 +116,19 @@ class TestAffinity:
 
 class TestNormalizedLaplacian:
     def test_two_node_graph(self):
-        lap = normalized_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]])) @ np.eye(2)
+        lap = normalized_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]])).rows(np.eye(2))
         assert np.allclose(lap, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
         vals = np.linalg.eigvalsh(lap)
         assert np.allclose(vals, [0.0, 2.0], atol=1e-12)
 
     def test_block_diagonal_zero_multiplicity(self):
         a, _ = block_affinity([4, 5, 3], make_rng(2, "blk"), permute=False)
-        vals = np.linalg.eigvalsh(normalized_laplacian(a) @ np.eye(12))
+        vals = np.linalg.eigvalsh(normalized_laplacian(a).rows(np.eye(12)))
         assert np.sum(np.abs(vals) < 1e-10) == 3
 
     def test_elementwise_formula(self):
         a, _ = block_affinity([6, 6], make_rng(3, "blk"))
-        lap = normalized_laplacian(a) @ np.eye(12)
+        lap = normalized_laplacian(a).rows(np.eye(12))
         assert np.abs(lap - ref_normalized_laplacian(a)).max() <= 1e-15
         vals = np.linalg.eigvalsh(lap)
         assert vals.min() > -1e-12 and vals.max() < 2.0 + 1e-12
@@ -136,7 +136,7 @@ class TestNormalizedLaplacian:
     def test_isolated_vertex(self):
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0
-        lap = normalized_laplacian(a) @ np.eye(3)
+        lap = normalized_laplacian(a).rows(np.eye(3))
         assert lap[2, 2] == 1.0 and lap[2, 0] == 0.0  # zero-degree row
 
     @pytest.mark.parametrize("isolated", [False, True])
@@ -147,17 +147,15 @@ class TestNormalizedLaplacian:
         n = a.shape[0]
         lap = normalized_laplacian(a)
         expected = ref_normalized_laplacian(a)
-        # the matrix product ...
-        assert np.abs(lap @ np.eye(n) - expected).max() <= 1e-15
-        # ... and the vector product, for a vector and for a one-column
-        # matrix
-        x = make_rng(32, "x").uniform(-1.0, 1.0, n)
-        assert np.abs(lap @ x - expected @ x).max() <= 1e-14
-        assert np.array_equal(lap @ x[:, None], (lap @ x)[:, None])
+        # the product with a block of rows ...
+        assert np.abs(lap.rows(np.eye(n)) - expected).max() <= 1e-15
+        # ... and with a single row
+        x = make_rng(32, "x").uniform(-1.0, 1.0, (1, n))
+        assert np.abs(lap.rows(x) - x @ expected).max() <= 1e-14
         if isolated:
-            row = np.zeros(n)
-            row[7] = 1.0
-            assert np.array_equal(lap @ row, row)
+            row = np.zeros((1, n))
+            row[0, 7] = 1.0
+            assert np.array_equal(lap.rows(row), row)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(NumericsError):
@@ -434,6 +432,18 @@ class TestOrthonormalRows:
         # the rows that had a direction of their own are still spanned
         kept = x[[0, 2, 3]] if spoil == "row-in-span-q" else x[[0, 1, 3]]
         assert np.abs(kept - (kept @ f.T) @ f).max() <= 1e-14
+
+    @pytest.mark.parametrize("gap", [1e-8, 1e-9, 1.5e-10])
+    def test_nearly_dependent_row_stays_off_basis(self, gap):
+        # a row just above the floor: QR divides its rounding-level part
+        # along q by |r_jj|, which the second pass removes
+        q, x = block_off_basis(6, n=600, basis=40)
+        x[2] = x[1] + gap * make_rng(7, "gap").standard_normal(x.shape[1])
+        cluster._project_out(x, q)
+        f = cluster._orthonormal_rows(x, q, make_rng(0, "t"), cluster.KRYLOV_TOL)
+        assert f.shape == x.shape
+        assert_orthonormal_off(f, q)
+        assert np.abs(x - (x @ f.T) @ f).max() <= 1e-14
 
     def test_deterministic(self):
         q, x = block_off_basis(4)

@@ -26,7 +26,7 @@ def constant_embedding_model(d, p, vec, alpha=1.0, beta_raw=-np.inf):
         return MlpParams(layers=[DenseLayer(w=np.zeros((d, p)),
                                             b=np.asarray(vec, dtype=float).copy(),
                                             activation="none")])
-    return SEModel(key_net=net(), query_net=net(), embed_dim=p,
+    return SEModel(key_net=net(), query_net=net(),
                    beta_raw=np.array(beta_raw), alpha=np.array(alpha))
 
 
@@ -37,7 +37,6 @@ def linear_embedding_model(wk, wq, alpha=1.0, beta_raw=-np.inf):
                                             b=np.zeros(np.asarray(w).shape[1]),
                                             activation="none")])
     return SEModel(key_net=net(wk), query_net=net(wq),
-                   embed_dim=np.asarray(wk).shape[1],
                    beta_raw=np.array(beta_raw), alpha=np.array(alpha))
 
 

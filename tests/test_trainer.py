@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from invsen import numkit
 from invsen.datagen import DataGenConfig, Dataset, generate
 from invsen.debias import (
-    BiasHeads,
     LossWeights,
     bias_group_offsets,
     bias_posterior,
@@ -17,7 +16,7 @@ from invsen.debias import (
     invariance_loss,
 )
 from invsen.errors import CheckpointError, ConfigError, ShapeError, TrainingDiverged
-from invsen.numkit import DenseLayer, MlpParams, adam_init, adam_step, mlp_backward, mlp_forward, normalize_rows
+from invsen.numkit import DenseLayer, MlpParams, adam_step, mlp_backward, mlp_forward, normalize_rows
 from invsen.sennet import se_loss
 from invsen.trainer import (
     TrainConfig,
@@ -32,8 +31,6 @@ from invsen.trainer import (
     save_checkpoint,
     train_step,
 )
-
-from gradcheck import clone_mlp, set_param_arrays
 
 
 def tiny_config(**kw):
@@ -76,17 +73,14 @@ def se_param_grads(model, se):
                 + [se.grad_beta_raw] + ([se.grad_alpha] if model.alpha_learnable else []))
 
 
-def install_heads(state, g, g_prime):
-    """Give the state the heads g and g_prime, laid out in the parameter
-    vector of a fresh bias optimizer."""
-    arrays = numkit.mlp_param_arrays(g) + numkit.mlp_param_arrays(g_prime)
-    vec = flat(arrays)
-    views = numkit.flat_views(vec, [a.shape for a in arrays])
-    n_g = len(numkit.mlp_param_arrays(g))
-    set_param_arrays(g, views[:n_g])
-    set_param_arrays(g_prime, views[n_g:])
-    state.heads = BiasHeads(g=g, g_prime=g_prime)
-    state.opt_bias = adam_init(vec, state.config.lr_bias)
+def set_heads(state, g, g_prime):
+    """Copy the parameters of g and g_prime into the state's heads, which
+    its config builds with the same layers."""
+    for own, given in ((state.heads.g, g), (state.heads.g_prime, g_prime)):
+        own_arrays, given_arrays = numkit.mlp_param_arrays(own), numkit.mlp_param_arrays(given)
+        assert [a.shape for a in own_arrays] == [a.shape for a in given_arrays]
+        for a, v in zip(own_arrays, given_arrays):
+            a[...] = v
 
 
 def assert_flat(state):
@@ -236,13 +230,9 @@ class TestTrainStep:
         ds = toy_dataset()
         x = normalize_rows(ds.X)[:8]
         w = LossWeights(gamma=20.0, delta=0.9, lam=1.0, mu=1.0)
-        cfg = tiny_config(weights=w)
-        state = init_state(cfg, x.shape[1])
-        # zero weights and biases: every posterior is uniform
-        def zero_head():
-            return MlpParams(layers=[DenseLayer(w=np.zeros((cfg.embed_dim, 2)),
-                                                b=np.zeros(2), activation="none")])
-        install_heads(state, zero_head(), zero_head())
+        state = init_state(tiny_config(weights=w), x.shape[1])
+        # zero weights, biases and batchnorm scales: every posterior is uniform
+        state.opt_bias.params[...] = 0.0
         _, rep = train_step(state, x, ds.b[:8], w)
         for key in ("l_conf_key", "l_conf_query"):
             assert rep[key] == pytest.approx(-np.log(2.0), abs=1e-12)
@@ -293,7 +283,9 @@ class TestTrainStep:
         ds = toy_dataset(bias_strength=3.0, e=0.0)
         x = normalize_rows(ds.X)[::2]
         b = ds.b[::2]
-        cfg = tiny_config(weights=LossWeights(gamma=20.0, delta=0.9, lam=1.0, mu=1.0))
+        # heads of one linear layer
+        cfg = tiny_config(weights=LossWeights(gamma=20.0, delta=0.9, lam=1.0, mu=1.0),
+                          bias_hidden=())
         state = init_state(cfg, x.shape[1])
         u, _ = mlp_forward(state.model.key_net, x)
         # least-squares linear read-out of b; the margin sets its sign
@@ -314,7 +306,7 @@ class TestTrainStep:
 
         def key_step(lam):
             twin = clone_state(state)
-            install_heads(twin, clone_mlp(head), clone_mlp(head))
+            set_heads(twin, head, head)
             twin.opt_main.lr = 1.0
             before = [a.copy() for a in numkit.mlp_param_arrays(twin.model.key_net)]
             train_step(twin, x, b, LossWeights(gamma=20.0, delta=0.9, lam=lam, mu=1.0))
@@ -498,9 +490,12 @@ class TestCheckpoints:
         (lambda m: m.update(version=1), "version"),
         # version 2, whose config holds swap_roles
         (lambda m: (m.update(version=2), m["config"].update(swap_roles=False)), "version"),
-        # the previous format: version 3, whose config holds checkpoint_path
+        # version 3, whose config holds checkpoint_path
         (lambda m: (m.update(version=3), m["config"].update(checkpoint_path=None)),
          "unsupported version 3"),
+        # the previous format: version 4, whose config holds eval_every
+        (lambda m: (m.update(version=4), m["config"].update(eval_every=1)),
+         "unsupported version 4"),
         (lambda m: m["config"].update(hidden=[10, 9]), "layout"),
         (lambda m: m["config"].update(bias_batchnorm=False), "layout"),
         (lambda m: m.update(in_dim=11), "layout"),
@@ -512,7 +507,7 @@ class TestCheckpoints:
         (lambda m: m.update(history=7), "history"),
         (lambda m: m["config"].update(batch_size=2.5), "batch_size"),
         (lambda m: m["config"].update(bias_warmup_epochs="x"), "bias_warmup_epochs"),
-    ], ids=["version-1", "version-2", "version-3", "hidden", "batchnorm", "in-dim",
+    ], ids=["version-1", "version-2", "version-3", "version-4", "hidden", "batchnorm", "in-dim",
             "negative-in-dim", "t-string", "epoch-string", "epoch-negative",
             "history-number", "batch-size-fraction", "warmup-string"])
     def test_manifest_that_does_not_match_refused(self, tmp_path, edit, match):
@@ -535,7 +530,7 @@ class TestCheckpoints:
     def test_layout_counts_the_state_arrays(self, kw):
         cfg = tiny_config(**kw)
         state = init_state(cfg, 9)
-        n_main, n_bias = _layout(cfg, 9)
+        n_main, n_bias = (numkit.flat_size(layout) for layout in _layout(cfg, 9))
         assert (n_main, n_bias) == (state.opt_main.params.size, state.opt_bias.params.size)
         assert 3 * (n_main + n_bias) == sum(a.size for _, a in _state_arrays(state))
 
