@@ -132,7 +132,7 @@ GEN_OPTIONS = {
     "k": (_integer, 3), "d": (_integer, 30), "rank": (_integer, 4),
     "n_per": (_integer, 200),
     "sigma": (_real, 0.01), "bias_strength": (_real, 0.0), "e": (_real, 0.1),
-    "test_e": (_real, 0.5), "label_flip": (_real, 0.0), "mode": (_string, "ood"),
+    "test_e": (_real, 0.5), "mode": (_string, "ood"),
     "mixed_ratio": (_real, 0.5), "seed": (_integer, 0),
 }
 
@@ -142,8 +142,7 @@ def cmd_gen_data(args) -> int:
     config = datagen.DataGenConfig(
         k_subspaces=opts["k"], ambient_dim=opts["d"], subspace_rank=opts["rank"],
         n_per_cluster=opts["n_per"], noise_sigma=opts["sigma"],
-        bias_strength=opts["bias_strength"], bias_flip_e=opts["e"],
-        label_flip=opts["label_flip"], seed=opts["seed"])
+        bias_strength=opts["bias_strength"], bias_flip_e=opts["e"], seed=opts["seed"])
     # each mode's datasets, keyed by the name of the CSV file each is saved to
     modes = {
         "ood": lambda: datagen.make_ood_split(config, train_e=opts["e"], test_e=opts["test_e"]),
@@ -188,8 +187,7 @@ TRAIN_OPTIONS = {
     "embed_dim": (_integer, 64),
     "bias_widths": (_widths, "64,32,16"),
     "bias_batchnorm": (_switch, 1), "bias_warmup": (_integer, 0),
-    "n_bias_classes": (_integer, 2), "alpha": (_real, 1.0),
-    "alpha_learnable": (_switch, 0), "beta0": (_real, 0.005),
+    "n_bias_classes": (_integer, 2),
 }
 
 
@@ -214,9 +212,7 @@ def cmd_train(args) -> int:
         seed=opts["seed"],
         hidden=opts["widths"], embed_dim=opts["embed_dim"],
         bias_hidden=opts["bias_widths"], bias_batchnorm=opts["bias_batchnorm"],
-        bias_warmup_epochs=opts["bias_warmup"], n_bias_classes=opts["n_bias_classes"],
-        alpha=opts["alpha"], alpha_learnable=opts["alpha_learnable"],
-        beta0=opts["beta0"])
+        bias_warmup_epochs=opts["bias_warmup"], n_bias_classes=opts["n_bias_classes"])
 
     try:
         state = trainer.fit(config, dataset)

@@ -2,8 +2,8 @@
 
 Samples live on k random low-dimensional subspaces of R^d. A binary bias
 label is derived from a parity rule over the cluster index (clusters split
-into two groups, bias_group), optionally decorrelated by flipping with
-probability e, and each sample is displaced by bias_strength along one of
+into two groups, bias_group), decorrelated by flipping it with probability
+e (bias_flip_e), and each sample is displaced by bias_strength along one of
 two fixed unit vectors chosen by its bias label. The two displacement
 directions are orthogonal to every subspace basis, so the bias is a
 genuine confound: it rewards reconstructing from same-bias neighbors
@@ -61,7 +61,6 @@ class DataGenConfig:
     noise_sigma: float = 0.01
     bias_strength: float = 0.0
     bias_flip_e: float = 0.0
-    label_flip: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -77,14 +76,12 @@ class DataGenConfig:
             raise ConfigError("noise_sigma and bias_strength must be >= 0 and finite")
         if not 0.0 <= self.bias_flip_e <= 0.5:
             raise ConfigError("bias_flip_e must lie in [0, 0.5]")
-        if not 0.0 <= self.label_flip <= 0.5:
-            raise ConfigError("label_flip must lie in [0, 0.5]")
 
 
 def generate(config: DataGenConfig, name: str = "data") -> Dataset:
     """One dataset drawn per the config, with flip rate config.bias_flip_e.
     The subspace bases and bias directions depend on the seed and the
-    geometry (k, d, rank) only, not on n_per_cluster or the flip rates; the
+    geometry (k, d, rank) only, not on n_per_cluster or the flip rate; the
     samples are drawn from the stream named by name."""
     k, d, r, n_per = (config.k_subspaces, config.ambient_dim, config.subspace_rank,
                       config.n_per_cluster)
@@ -111,13 +108,11 @@ def generate(config: DataGenConfig, name: str = "data") -> Dataset:
     s = np.repeat(np.arange(k), n_per)
     n = s.size
 
-    # bias chain: group rule over the cluster index, an optional label
-    # flip, then a color-style flip with probability e
+    # bias labels: the group rule over the cluster index, flipped with
+    # probability e. One draw is discarded first, where a removed second flip
+    # drew, so that every dataset keeps its bytes.
     y = bias_group(s)
-    if config.label_flip > 0:
-        y = np.where(rng.random(n) < config.label_flip, 1 - y, y)
-    else:
-        rng.random(n)  # keep the stream position independent of the knob
+    rng.random(n)
     b = np.where(rng.random(n) < config.bias_flip_e, 1 - y, y)
     if config.bias_strength > 0:
         x = x + config.bias_strength * bias_dirs[b]

@@ -134,14 +134,15 @@ def bias_posterior(head: MlpParams, emb: np.ndarray):
     return probs, cache
 
 
-def _check_labels(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _check_labels(labels, n: int, n_classes: int) -> np.ndarray:
+    """labels as ints, once they are n > 0 labels in [0, n_classes): a
+    ShapeError or ConfigError otherwise."""
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != probs.shape[0]:
-        raise ShapeError(
-            f"labels shape {labels.shape} does not match batch {probs.shape[0]}")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
-        raise ValueError(
-            f"bias label out of range [0, {probs.shape[1]}): "
+    if labels.ndim != 1 or labels.shape[0] != n or n == 0:
+        raise ShapeError(f"labels shape {labels.shape} does not match a batch of {n} > 0")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ConfigError(
+            f"bias label out of range [0, {n_classes}): "
             f"[{labels.min()}, {labels.max()}]")
     return labels.astype(int)
 
@@ -150,7 +151,7 @@ def cross_entropy_loss(probs: np.ndarray, labels):
     """(loss, logit gradient): the mean negative log probability of the true
     bias class, and its gradient w.r.t. the head's logits, (P - Y)/n."""
     probs = np.asarray(probs, dtype=float)
-    labels = _check_labels(probs, labels)
+    labels = _check_labels(labels, *probs.shape)
     rows = np.arange(probs.shape[0])
     loss = float(-np.log(np.clip(probs[rows, labels], PROB_EPS, 1.0 - PROB_EPS)).mean())
     g = probs.copy()
@@ -192,11 +193,7 @@ def bias_group_offsets(x: np.ndarray, labels, n_classes: int = 2):
     would move from or into it stay where they are.
     """
     x = np.asarray(x, dtype=float)
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
-        raise ShapeError(
-            f"labels shape {labels.shape} does not match batch {x.shape[0]}")
-    labels = labels.astype(int)
+    labels = _check_labels(labels, x.shape[0], n_classes)
     present = np.array([np.any(labels == k) for k in range(n_classes)])
     means = np.array([x[labels == k].mean(axis=0) if present[k]
                       else np.zeros(x.shape[1]) for k in range(n_classes)])
@@ -220,5 +217,5 @@ def invariance_loss(emb: np.ndarray, emb_cf: np.ndarray):
 def head_accuracy(probs: np.ndarray, labels) -> float:
     """Fraction of samples whose argmax posterior matches the bias label."""
     probs = np.asarray(probs, dtype=float)
-    labels = _check_labels(probs, labels)
+    labels = _check_labels(labels, *probs.shape)
     return float((probs.argmax(axis=1) == labels).mean())

@@ -14,8 +14,9 @@ Conventions used throughout:
   max(|s| - beta, 0) has one kernel, shrink_magnitudes, which training
   (coefficients) and evaluation (cluster.build_affinity) share.
 * beta >= 0 is kept positive through a softplus reparameterization of an
-  unconstrained scalar; alpha is a positive scale, fixed by default and
-  trainable on request.
+  unconstrained scalar, and starts at DEFAULT_BETA0. alpha is a positive
+  scale, fixed by default and trainable on request (init_se_model); the
+  trainer always builds it fixed at 1.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ class SEModel:
 
 
 def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
-                  beta0: float = DEFAULT_BETA0, alpha: float = 1.0,
-                  alpha_learnable: bool = False, *, rng: np.random.Generator,
+                  alpha: float = 1.0, alpha_learnable: bool = False, *,
+                  rng: np.random.Generator,
                   out: np.ndarray | None = None) -> SEModel:
-    """Fresh model: hidden layers are ReLU, the embedding layer is tanh.
+    """Fresh model: hidden layers are ReLU, the embedding layer is tanh,
+    and beta starts at DEFAULT_BETA0.
 
     The tanh output bounds every embedding coordinate, which keeps the
     inner products u.v in a range where the soft threshold stays active.
@@ -73,8 +75,6 @@ def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
     """
     if not 0.0 < alpha < np.inf:
         raise ConfigError("alpha must be positive and finite")
-    if not 0.0 < beta0 < np.inf:
-        raise ConfigError("beta0 must be positive and finite")
     dims = [in_dim, *hidden, embed_dim]
     acts = ["relu"] * len(hidden) + ["tanh"]
     layout = se_vector_layout(in_dim, hidden, embed_dim, alpha_learnable)
@@ -82,7 +82,7 @@ def init_se_model(in_dim: int, hidden=(64, 64, 64), embed_dim: int = 64,
         numkit.flat_vector(out, numkit.flat_size(layout)), layout)
     key_net = numkit.init_mlp(dims, acts, batchnorm=False, rng=rng, out=key_vec)
     query_net = numkit.init_mlp(dims, acts, batchnorm=False, rng=rng, out=query_vec)
-    beta_raw[...] = softplus_inv(beta0)
+    beta_raw[...] = softplus_inv(DEFAULT_BETA0)
     alpha_arr = learnable_alpha[0] if learnable_alpha else np.empty(())
     alpha_arr[...] = float(alpha)
     return SEModel(key_net=key_net, query_net=query_net, beta_raw=beta_raw,
@@ -241,7 +241,8 @@ def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
     loss = recon + reg
 
     # d recon / d C = (gamma/n) * x @ resid.T ; d reg / d C = r'(C)/n
-    g_block = (gamma / n) * (x @ resid.T) + r_grad / n
+    g_recon = x @ resid.T
+    g_block = (gamma / n) * g_recon + r_grad / n
     l_align = 0.0
     if shift is not None:
         shift = np.asarray(shift, dtype=float)
@@ -253,7 +254,7 @@ def se_loss(model: SEModel, batch: np.ndarray, gamma: float, delta: float,
         l_align = (gamma / (2.0 * n)) * float((resid_a * resid_a).sum()) - recon
         # d/dC[i, j] of the aligned cost: (gamma/n) (x_i - shift_i + shift_j) . resid_a_j
         g_aligned = x_c @ resid_a.T + (shift * resid_a).sum(axis=1)[None, :]
-        g_block = g_block + shift_weight * (gamma / n) * (g_aligned - x @ resid.T)
+        g_block = g_block + shift_weight * (gamma / n) * (g_aligned - g_recon)
     g_block = np.where(live, g_block, 0.0)
 
     g_thr = alpha * g_block  # zero off the live entries, so also the gradient w.r.t. s

@@ -11,24 +11,26 @@ aligned shift and the counterfactual batch. The terms:
 
 * the heads minimize cross-entropy on the bias labels (their gradients
   never reach the feature nets);
-* the key/query nets, beta and alpha minimize the self-expression loss
-  plus lam * entropy-confusion, and additionally receive the cross-entropy
+* the key/query nets and beta minimize the self-expression loss plus
+  lam * entropy-confusion, and additionally receive the cross-entropy
   gradient through the embeddings negated and scaled by lam * mu (the
   reversal), so they learn to make the heads fail;
-* with lam > 0 the key/query nets, beta and alpha also minimize
-  lam * l_align (sennet.se_loss with the shift of bias_group_offsets):
-  the change in reconstruction cost when each contributor is first moved
-  into its target's bias group. At lam = 1 the reconstruction term is
-  wholly the aligned one, which no longer rewards following the bias;
+* with lam > 0 the key/query nets and beta also minimize lam * l_align
+  (sennet.se_loss with the shift of bias_group_offsets): the change in
+  reconstruction cost when each contributor is first moved into its
+  target's bias group. At lam = 1 the reconstruction term is wholly the
+  aligned one, which no longer rewards following the bias;
 * the key/query nets also minimize lam * the invariance loss between the
   embeddings of the batch and those of its counterfactual
   (debias.invariance_loss, key plus query). Its gradient reaches each net
   through the forward passes of both. Unlike the head terms, neither of
   these two vanishes when a head saturates.
 
-Heads are updated first, then the feature nets, both from the same forward
-passes. With lam = 0 the feature updates are bit-for-bit those of a plain
-self-expressive network; the heads keep training on the side.
+The coefficient scale alpha is fixed at 1 and beta starts at
+sennet.DEFAULT_BETA0. Heads are updated first, then the feature nets, both
+from the same forward passes. With lam = 0 the feature updates are
+bit-for-bit those of a plain self-expressive network; the heads keep
+training on the side.
 
 Each optimizer owns one flat vector each for the parameters, the
 gradients and the two Adam moments. init_state builds the nets as views of
@@ -79,7 +81,7 @@ from .numkit import (
 from .sennet import SEModel, init_se_model, se_loss, se_vector_layout
 
 CHECKPOINT_MAGIC = b"INVSEN01"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 DIVERGENCE_LIMIT = 1e6
 
 HISTORY_FIELDS = ("epoch", "l_se", "l_conf_key", "l_conf_query",
@@ -101,9 +103,6 @@ class TrainConfig:
     bias_batchnorm: bool = True
     bias_warmup_epochs: int = 0
     n_bias_classes: int = 2
-    alpha: float = 1.0
-    alpha_learnable: bool = False
-    beta0: float = 0.005
 
     def __post_init__(self):
         check_integers(self, ("epochs", "batch_size", "seed", "embed_dim",
@@ -141,10 +140,8 @@ def init_state(config: TrainConfig, in_dim: int) -> TrainState:
     opt_main = adam_init(np.empty(n_main), config.lr_main)
     opt_bias = adam_init(np.empty(n_bias), config.lr_bias)
     rng = make_rng(config.seed, "init")
-    model = init_se_model(
-        in_dim, hidden=config.hidden, embed_dim=config.embed_dim,
-        beta0=config.beta0, alpha=config.alpha,
-        alpha_learnable=config.alpha_learnable, rng=rng, out=opt_main.params)
+    model = init_se_model(in_dim, hidden=config.hidden, embed_dim=config.embed_dim,
+                          rng=rng, out=opt_main.params)
     heads = init_bias_heads(config.embed_dim, hidden=config.bias_hidden,
                             n_bias_classes=config.n_bias_classes,
                             batchnorm=config.bias_batchnorm, rng=rng,
@@ -158,8 +155,7 @@ def _layout(config: TrainConfig, in_dim: int):
     """(main, bias): the segment shapes of the two parameter vectors of
     init_state(config, in_dim), as se_vector_layout and head_vector_layout
     give them. Integer arithmetic over the config; nothing is allocated."""
-    return (se_vector_layout(in_dim, config.hidden, config.embed_dim,
-                             config.alpha_learnable),
+    return (se_vector_layout(in_dim, config.hidden, config.embed_dim, alpha_learnable=False),
             head_vector_layout(config.embed_dim, config.bias_hidden,
                                config.n_bias_classes, config.bias_batchnorm))
 
@@ -193,7 +189,7 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
     se = se_loss(model, x, w.gamma, w.delta, shift=shift, shift_weight=w.lam)
 
     main_layout, bias_layout = _layout(state.config, model.in_dim)
-    g_key, g_query, g_beta, *g_alpha = numkit.flat_views(state.opt_main.grads, main_layout)
+    g_key, g_query, g_beta = numkit.flat_views(state.opt_main.grads, main_layout)
     g_heads = numkit.flat_views(state.opt_bias.grads, bias_layout)
     ce, conf, acc, inv = [], [], [], []
     # one pass per side of the game: (net, head, embedding, forward cache,
@@ -226,8 +222,6 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
         if cf is not None:
             mlp_backward(net, *cf, g_net, add=True)
     g_beta[...] = se.grad_beta_raw
-    if g_alpha:
-        g_alpha[0][...] = se.grad_alpha
 
     total_report = se.loss
     if b is None:
@@ -339,9 +333,8 @@ def resume(state: TrainState, dataset: Dataset, epochs: int | None = None) -> Tr
 
 def _state_arrays(state: TrainState):
     """Every array of the state, named, in checkpoint order: each
-    optimizer's parameters and moments. The nets, beta_raw and a learnable
-    alpha are views of the parameter vectors; a fixed alpha comes from the
-    config."""
+    optimizer's parameters and moments. The nets and beta_raw are views of
+    the parameter vectors; alpha is fixed at 1."""
     return [(f"{tag}.{part}", getattr(opt, part))
             for tag, opt in (("opt_main", state.opt_main), ("opt_bias", state.opt_bias))
             for part in ("params", "m", "v")]

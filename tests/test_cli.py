@@ -62,12 +62,12 @@ class TestGenData:
     def test_mixed_mode_matches_library(self, tmp_path):
         code = run_cli("gen-data", "--k", "2", "--d", "10", "--rank", "2",
                        "--n-per", "20", "--bias-strength", "1.5", "--e", "0.1",
-                       "--label-flip", "0.2", "--mode", "mixed", "--mixed-ratio", "0.25",
+                       "--mode", "mixed", "--mixed-ratio", "0.25",
                        "--seed", "4", "--out", str(tmp_path))
         assert code == 0
         config = DataGenConfig(k_subspaces=2, ambient_dim=10, subspace_rank=2,
                                n_per_cluster=20, bias_strength=1.5, bias_flip_e=0.1,
-                               label_flip=0.2, seed=4)
+                               seed=4)
         save_dataset(make_mixed_domain(config, e_biased=0.1, n_ratio=0.25),
                      str(tmp_path / "library.csv"))
         assert ((tmp_path / "mixed.csv").read_bytes()
@@ -186,7 +186,7 @@ class TestTrain:
 @pytest.mark.parametrize("command, cfg", [
     ("train", {"epochs": "abc"}),
     ("gen-data", {"k": "z"}),
-    ("train", {"alpha_learnable": "false"}),  # bool("false") would be True
+    ("train", {"bias_batchnorm": "false"}),  # bool("false") would be True
     ("train", {"epochs": 2.7}),  # int(2.7) would train 2 epochs
     ("train", {"bias_batchnorm": 0.5}),  # bool(int(0.5)) would be False
     ("train", {"epochs": True}),
@@ -195,7 +195,7 @@ class TestTrain:
     ("train", {"gamma": "2e2"}),  # float("2e2") would read 200.0
     ("train", {"gamma": 10 ** 400}),  # float() of it overflows
     ("evaluate", {"label": 3}),  # str(3) would label the run "3"
-], ids=["train-epochs", "gen-data-k", "alpha-learnable-string", "epochs-fraction",
+], ids=["train-epochs", "gen-data-k", "bias-batchnorm-string", "epochs-fraction",
         "bias-batchnorm-fraction", "epochs-boolean", "evaluate-k-string",
         "lam-boolean", "gamma-string", "gamma-huge-integer", "label-number"])
 def test_unreadable_config_value_exits_2(tmp_path, data_dir, capsys, command, cfg):
@@ -214,8 +214,7 @@ def test_unreadable_config_value_exits_2(tmp_path, data_dir, capsys, command, cf
 def test_config_numbers_read_exactly(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"epochs": 2.0, "seed": 5, "widths": [8.0, 6],
-                                    "bias_widths": 64.0,
-                                    "alpha_learnable": 1, "bias_batchnorm": False}))
+                                    "bias_widths": 64.0, "bias_batchnorm": 0}))
     args = build_parser().parse_args(["train", "--data", "unread.csv",
                                       "--config", str(cfg_path), "--out", "unused"])
     opts = _merge(args, TRAIN_OPTIONS)
@@ -223,20 +222,38 @@ def test_config_numbers_read_exactly(tmp_path):
     assert opts["seed"] == 5 and opts["widths"] == (8, 6)
     # one number is one layer, read like an integer option
     assert opts["bias_widths"] == (64,) and type(opts["bias_widths"][0]) is int
-    assert opts["alpha_learnable"] is True and opts["bias_batchnorm"] is False
+    assert opts["bias_batchnorm"] is False
 
 
-def test_alpha_learnable_flag_overrides_config(tmp_path):
+def test_bias_batchnorm_flag_overrides_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"alpha_learnable": True}))
+    cfg_path.write_text(json.dumps({"bias_batchnorm": False}))
     fixed = ["train", "--data", "unread.csv", "--config", str(cfg_path), "--out", "unused"]
     parser = build_parser()
-    assert _merge(parser.parse_args(fixed), TRAIN_OPTIONS)["alpha_learnable"] is True
-    opts = _merge(parser.parse_args([*fixed, "--alpha-learnable", "0"]), TRAIN_OPTIONS)
-    assert opts["alpha_learnable"] is False
+    assert _merge(parser.parse_args(fixed), TRAIN_OPTIONS)["bias_batchnorm"] is False
+    opts = _merge(parser.parse_args([*fixed, "--bias-batchnorm", "1"]), TRAIN_OPTIONS)
+    assert opts["bias_batchnorm"] is True
     with pytest.raises(SystemExit) as err:  # the switch takes 0|1, never a bare flag
-        parser.parse_args([*fixed, "--alpha-learnable"])
+        parser.parse_args([*fixed, "--bias-batchnorm"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command, key", [
+    ("train", "alpha"), ("train", "alpha_learnable"), ("train", "beta0"),
+    ("gen-data", "label_flip"),
+])
+def test_removed_option_exits_2(tmp_path, data_dir, capsys, command, key):
+    # as a config key and as a flag
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: 0.1}))
+    argv = ["train", "--data", str(data_dir / "train.csv")] if command == "train" else [command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv, "--" + key.replace("_", "-"), "0.1", "--out", str(tmp_path / "o"))
+    assert err.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 # Each option is declared once, in its subcommand's table; the parser's only
@@ -329,9 +346,15 @@ def _version_3(manifest):
 
 
 def _version_4(manifest):
-    # the previous format, whose config still holds eval_every
+    # version 4, whose config still holds eval_every
     manifest["version"] = 4
     manifest["config"]["eval_every"] = 1
+
+
+def _version_5(manifest):
+    # the previous format, whose config still holds alpha, alpha_learnable and beta0
+    manifest["version"] = 5
+    manifest["config"].update(alpha=1.0, alpha_learnable=False, beta0=0.005)
 
 
 def _hidden_disagrees_with_arrays(manifest):
@@ -438,7 +461,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("corrupt", [_drop_config, _unknown_config_key, _misnamed_array,
                                          _version_1, _version_2, _version_3, _version_4,
-                                         _hidden_disagrees_with_arrays,
+                                         _version_5, _hidden_disagrees_with_arrays,
                                          _in_dim_huge, _in_dim_negative])
     def test_malformed_checkpoint_manifest_exits_1(self, tmp_path, data_dir,
                                                     trained_dir, capsys, corrupt):
@@ -457,7 +480,7 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        if corrupt in (_version_3, _version_4):
+        if corrupt in (_version_3, _version_4, _version_5):
             assert f"unsupported version {corrupt.__name__[-1]}" in err
 
     def test_dump_affinity_writes_exact_npy(self, tmp_path, data_dir, trained_dir):
@@ -495,10 +518,10 @@ def test_clustered_spectrum_solved(data_dir, trained_dir, monkeypatch, basis):
 # out-of-range options: each must end in a ConfigError (exit 2), not a traceback
 BAD_OPTIONS = [
     ("train", "--gamma", "0"), ("train", "--delta", "2"), ("train", "--lambda", "-1"),
-    ("train", "--mu", "-1"), ("train", "--alpha", "0"), ("train", "--beta0", "0"),
+    ("train", "--mu", "-1"),
     # NaN passes a comparison-only range check; each must be refused
-    *(("train", flag, "nan") for flag in ("--gamma", "--lambda", "--mu", "--alpha",
-                                          "--beta0", "--lr-main", "--lr-bias")),
+    *(("train", flag, "nan") for flag in ("--gamma", "--lambda", "--mu", "--lr-main",
+                                          "--lr-bias")),
     ("train", "--gamma", "inf"),
     # malformed or zero layer widths
     ("train", "--widths", "8,x"), ("train", "--widths", "-3"),

@@ -89,11 +89,12 @@ class TestGenerate:
             generate(DataGenConfig(k_subspaces=4, ambient_dim=10,
                                    subspace_rank=3, n_per_cluster=5))
 
-    def test_label_flip_knob(self):
-        ds = generate(small_config(n_per_cluster=2000, bias_flip_e=0.0,
-                                   label_flip=0.25))
-        flipped = float(np.mean(ds.b != bias_group(ds.s)))
-        assert abs(flipped - 0.25) < 0.03
+    def test_bias_labels_pinned(self):
+        # b comes from PCG64 draws alone, so it is the same on every platform;
+        # the draw that generate discards before the flip's keeps it so
+        ds = generate(DataGenConfig(k_subspaces=3, ambient_dim=12, subspace_rank=2,
+                                    n_per_cluster=10, bias_flip_e=0.3, seed=7))
+        assert "".join(map(str, ds.b)) == "000011011001011111100110100000"
 
 
 class TestOodSplit:
@@ -115,7 +116,7 @@ class TestOodSplit:
 
     @pytest.mark.parametrize("train_e,test_e", [(0.0, 0.5), (0.25, 0.1)])
     def test_parts_are_generate_at_their_rates(self, train_e, test_e):
-        cfg = small_config(label_flip=0.2)
+        cfg = small_config()
         split = make_ood_split(cfg, train_e=train_e, test_e=test_e)
         for name, e in (("train", train_e), ("test", test_e)):
             ref = generate(replace(cfg, bias_flip_e=e), name)

@@ -12,7 +12,7 @@ from invsen.debias import (
     init_bias_heads,
     invariance_loss,
 )
-from invsen.errors import ShapeError
+from invsen.errors import ConfigError, ShapeError
 from invsen.numkit import DenseLayer, MlpParams, make_rng
 
 from oracles import ref_mlp_forward
@@ -68,7 +68,7 @@ class TestCrossEntropy:
         assert expected == pytest.approx(0.8370, abs=5e-5)
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             cross_entropy_loss(np.full((2, 2), 0.5), [0, 2])
 
     def test_relabel_invariance(self):
@@ -164,6 +164,16 @@ class TestBiasGroupOffsets:
     def test_misaligned_labels(self):
         with pytest.raises(ShapeError):
             bias_group_offsets(np.zeros((4, 2)), [0, 1, 0])
+        with pytest.raises(ShapeError):
+            bias_group_offsets(np.zeros((0, 2)), [])
+
+    @pytest.mark.parametrize("labels, n_classes", [
+        ([0, 0, 1, 1, -1, -1], 2), ([0, 0, 1, 1, 2, 2], 2), ([0, 1, 2, 3, 0, 1], 3),
+    ], ids=["minus-1", "label-K", "label-K-of-3"])
+    def test_label_out_of_range(self, labels, n_classes):
+        # a negative label would index the last group's mean, silently
+        with pytest.raises(ConfigError, match="out of range"):
+            bias_group_offsets(np.zeros((6, 2)), labels, n_classes)
 
 
 class TestInvarianceLoss:

@@ -36,8 +36,7 @@ from invsen.trainer import (
 def tiny_config(**kw):
     base = dict(epochs=3, batch_size=16, lr_main=1e-3, lr_bias=1e-4,
                 weights=LossWeights(gamma=20.0, delta=0.9, lam=0.0, mu=1.0),
-                seed=11, hidden=(10, 8), embed_dim=6, bias_hidden=(8, 6),
-                beta0=0.005)
+                seed=11, hidden=(10, 8), embed_dim=6, bias_hidden=(8, 6))
     base.update(kw)
     return TrainConfig(**base)
 
@@ -67,10 +66,10 @@ def flat(arrays):
 def se_param_grads(model, se):
     """se_loss's gradients for every main-optimizer parameter, as one flat
     vector: the embedding gradients backpropagated through both nets, then
-    beta and alpha."""
+    beta's."""
     return flat(mlp_backward(model.key_net, se.key_cache, se.grad_key_out)[0]
                 + mlp_backward(model.query_net, se.query_cache, se.grad_query_out)[0]
-                + [se.grad_beta_raw] + ([se.grad_alpha] if model.alpha_learnable else []))
+                + [se.grad_beta_raw])
 
 
 def set_heads(state, g, g_prime):
@@ -87,8 +86,7 @@ def assert_flat(state):
     """Every trainable array is a view of its own optimizer's vector."""
     model, heads = state.model, state.heads
     main_arrays = (numkit.mlp_param_arrays(model.key_net)
-                   + numkit.mlp_param_arrays(model.query_net) + [model.beta_raw]
-                   + ([model.alpha] if model.alpha_learnable else []))
+                   + numkit.mlp_param_arrays(model.query_net) + [model.beta_raw])
     head_arrays = numkit.mlp_param_arrays(heads.g) + numkit.mlp_param_arrays(heads.g_prime)
     for arrays, own, other in ((main_arrays, state.opt_main, state.opt_bias),
                                (head_arrays, state.opt_bias, state.opt_main)):
@@ -324,7 +322,7 @@ class TestTrainStep:
         # (a layer rebound to a copy would stop training silently)
         ds = toy_dataset()
         x = normalize_rows(ds.X)
-        for kw in (dict(), dict(alpha_learnable=True, bias_batchnorm=False,
+        for kw in (dict(), dict(bias_batchnorm=False,
                                 weights=LossWeights(gamma=20.0, delta=0.9, lam=1.0, mu=1.0))):
             state = init_state(tiny_config(**kw), ds.X.shape[1])
             assert_flat(state)
@@ -346,6 +344,22 @@ class TestTrainStep:
         state = init_state(cfg, 10)
         with pytest.raises(ConfigError):
             train_step(state, np.ones((4, 10)), None, cfg.weights)
+
+    @pytest.mark.parametrize("lam", [1.0, 0.0], ids=["lam1", "lam0"])
+    @pytest.mark.parametrize("bad", [2, -1], ids=["label-K", "label-minus-1"])
+    def test_bias_label_out_of_range_refused(self, lam, bad):
+        # a ConfigError, not an IndexError, and no optimizer moves
+        ds = toy_dataset()
+        x = normalize_rows(ds.X)[:8]
+        b = ds.b[:8].copy()
+        b[3] = bad
+        w = LossWeights(gamma=20.0, delta=0.9, lam=lam, mu=1.0)
+        state = init_state(tiny_config(weights=w), x.shape[1])
+        before = [a.copy() for _, a in _state_arrays(state)]
+        with pytest.raises(ConfigError, match="out of range"):
+            train_step(state, x, b, w)
+        assert all(np.array_equal(a, c) for (_, a), c in zip(_state_arrays(state), before))
+        assert state.opt_main.t == state.opt_bias.t == 0
 
     def test_divergence_guard(self):
         cfg = tiny_config(weights=LossWeights(gamma=1e7, delta=0.9, lam=0.0))
@@ -473,9 +487,9 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("kw", [
         dict(bias_batchnorm=False),
-        dict(alpha_learnable=True, bias_warmup_epochs=1),
+        dict(bias_warmup_epochs=1),
         dict(weights=LossWeights(gamma=20.0, delta=0.9, lam=0.0, mu=1.0)),
-    ], ids=["no-batchnorm", "alpha-learnable", "lam0"])
+    ], ids=["no-batchnorm", "warmup", "lam0"])
     def test_load_save_byte_identical(self, tmp_path, kw):
         kw = {"weights": LossWeights(gamma=20.0, delta=0.9, lam=0.5, mu=1.0), **kw}
         save_checkpoint(fit(tiny_config(epochs=2, **kw), toy_dataset()),
@@ -493,9 +507,13 @@ class TestCheckpoints:
         # version 3, whose config holds checkpoint_path
         (lambda m: (m.update(version=3), m["config"].update(checkpoint_path=None)),
          "unsupported version 3"),
-        # the previous format: version 4, whose config holds eval_every
+        # version 4, whose config holds eval_every
         (lambda m: (m.update(version=4), m["config"].update(eval_every=1)),
          "unsupported version 4"),
+        # the previous format: version 5, whose config holds alpha,
+        # alpha_learnable and beta0
+        (lambda m: (m.update(version=5), m["config"].update(
+            alpha=1.0, alpha_learnable=False, beta0=0.005)), "unsupported version 5"),
         (lambda m: m["config"].update(hidden=[10, 9]), "layout"),
         (lambda m: m["config"].update(bias_batchnorm=False), "layout"),
         (lambda m: m.update(in_dim=11), "layout"),
@@ -507,9 +525,9 @@ class TestCheckpoints:
         (lambda m: m.update(history=7), "history"),
         (lambda m: m["config"].update(batch_size=2.5), "batch_size"),
         (lambda m: m["config"].update(bias_warmup_epochs="x"), "bias_warmup_epochs"),
-    ], ids=["version-1", "version-2", "version-3", "version-4", "hidden", "batchnorm", "in-dim",
-            "negative-in-dim", "t-string", "epoch-string", "epoch-negative",
-            "history-number", "batch-size-fraction", "warmup-string"])
+    ], ids=["version-1", "version-2", "version-3", "version-4", "version-5", "hidden",
+            "batchnorm", "in-dim", "negative-in-dim", "t-string", "epoch-string",
+            "epoch-negative", "history-number", "batch-size-fraction", "warmup-string"])
     def test_manifest_that_does_not_match_refused(self, tmp_path, edit, match):
         path = tmp_path / "ck.invsen"
         save_checkpoint(fit(tiny_config(epochs=1), toy_dataset()), str(path))
@@ -524,9 +542,9 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("kw", [
         dict(),
-        dict(bias_batchnorm=False, alpha_learnable=True, hidden=(7,), bias_hidden=()),
+        dict(bias_batchnorm=False, hidden=(7,), bias_hidden=()),
         dict(n_bias_classes=3, embed_dim=2, bias_hidden=(5, 4, 3)),
-    ], ids=["default", "no-bn-alpha", "three-classes"])
+    ], ids=["default", "no-bn-one-layer", "three-classes"])
     def test_layout_counts_the_state_arrays(self, kw):
         cfg = tiny_config(**kw)
         state = init_state(cfg, 9)
@@ -535,8 +553,7 @@ class TestCheckpoints:
         assert 3 * (n_main + n_bias) == sum(a.size for _, a in _state_arrays(state))
 
     def test_payload_is_the_six_optimizer_vectors(self, tmp_path):
-        cfg = tiny_config(epochs=2, alpha_learnable=True,
-                          weights=LossWeights(gamma=20.0, delta=0.9, lam=0.5, mu=1.0))
+        cfg = tiny_config(epochs=2, weights=LossWeights(gamma=20.0, delta=0.9, lam=0.5, mu=1.0))
         state = fit(cfg, toy_dataset())
         path = tmp_path / "ck.invsen"
         save_checkpoint(state, str(path))
