@@ -50,10 +50,9 @@ res = se_loss(model, x, gamma=50.0, delta=0.9)
 print(f"se loss {res.loss:.3f} = reconstruction {res.recon:.3f} "
       f"+ regularizer {res.reg:.3f}")
 
-# The loss comes with exact gradients at both embeddings and for beta and
-# alpha; backpropagating the embedding gradients through the nets gives the
-# rest of what the trainer feeds to Adam.
+# The loss comes with exact gradients at both embeddings and for beta;
+# backpropagating the embedding gradients through the nets gives the rest
+# of what the trainer feeds to Adam.
 grad_key, _ = mlp_backward(model.key_net, res.key_cache, res.grad_key_out)
 print("gradient arrays (key net, weights and biases):", len(grad_key))
-print("beta gradient:", round(res.grad_beta_raw, 6),
-      " alpha gradient:", round(res.grad_alpha, 6))
+print("beta gradient:", round(res.grad_beta_raw, 6))

@@ -153,10 +153,12 @@ def cmd_gen_data(args) -> int:
     mode = opts["mode"]
     if mode not in modes:
         raise ConfigError(f"unknown mode {mode!r} ({' | '.join(modes)})")
+    # every split is drawn before anything is written
+    splits = modes[mode]()
     os.makedirs(args.out, exist_ok=True)
     summary = {"mode": mode, "k": config.k_subspaces, "d": config.ambient_dim,
                "splits": {}}
-    for name, ds in modes[mode]().items():
+    for name, ds in splits.items():
         path = os.path.join(args.out, f"{name}.csv")
         datagen.save_dataset(ds, path)
         summary["splits"][name] = {"path": path, "n": ds.n,
@@ -201,9 +203,6 @@ def history_csv_text(history) -> str:
 
 def cmd_train(args) -> int:
     opts = _merge(args, TRAIN_OPTIONS)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    dataset = datagen.load_dataset(args.data)
     config = trainer.TrainConfig(
         epochs=opts["epochs"], batch_size=opts["batch_size"],
         lr_main=opts["lr_main"], lr_bias=opts["lr_bias"],
@@ -213,10 +212,14 @@ def cmd_train(args) -> int:
         hidden=opts["widths"], embed_dim=opts["embed_dim"],
         bias_hidden=opts["bias_widths"], bias_batchnorm=opts["bias_batchnorm"],
         bias_warmup_epochs=opts["bias_warmup"], n_bias_classes=opts["n_bias_classes"])
+    dataset = datagen.load_dataset(args.data)
 
+    # --out is made once training has run: a refused input leaves nothing
+    out_dir = args.out
     try:
         state = trainer.fit(config, dataset)
     except TrainingDiverged as exc:
+        os.makedirs(out_dir, exist_ok=True)
         dump = os.path.join(out_dir, "divergence.json")
         report = {k: (None if isinstance(v, float) and v != v else v)
                   for k, v in exc.report.items()}
@@ -224,6 +227,7 @@ def cmd_train(args) -> int:
         print(f"training diverged; diagnostics at {dump}", file=sys.stderr)
         return 3
 
+    os.makedirs(out_dir, exist_ok=True)
     ckpt = os.path.join(out_dir, "checkpoint.invsen")
     trainer.save_checkpoint(state, ckpt)
     _write_text_atomic(os.path.join(out_dir, "history.csv"),

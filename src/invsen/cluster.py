@@ -76,15 +76,15 @@ class SpectralConfig:
 
 def build_affinity(model: SEModel, x: np.ndarray) -> np.ndarray:
     """Affinity A = |C| + |C^T| of the coefficients over the whole
-    (unit-normalized) sample set, with C[i, j] = alpha * soft_threshold(
-    v_i . u_j, beta) (u key, v query embeddings) and the self-pairs zero,
-    as `sennet.coefficients` defines them. Symmetric, non-negative and
+    (unit-normalized) sample set, with C[i, j] = soft_threshold(v_i . u_j,
+    beta) (u key, v query embeddings) and the self-pairs zero, as
+    `sennet.coefficients` defines them. Symmetric, non-negative and
     zero-diagonal by construction.
 
     One n x n array is made: the inner products, which are turned into |C|
-    in place one row block at a time by `shrink_magnitudes` and |alpha|
-    (|alpha * copysign(|s| - beta, s)| is |alpha| * max(|s| - beta, 0) bit
-    for bit, so no sign is needed) and then into A one tile pair at a time.
+    in place one row block at a time by `shrink_magnitudes` (|C| is
+    max(|s| - beta, 0), so no sign is needed) and then into A one tile
+    pair at a time.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
@@ -97,13 +97,10 @@ def build_affinity(model: SEModel, x: np.ndarray) -> np.ndarray:
     v = mlp_forward(model.query_net, x)[0]
     # one matmul: a row-blocked product can round the last block differently
     a = np.matmul(v, u.T)  # s[i, j] = v_i . u_j
-    # |alpha|: a learnable alpha is not kept positive by its updates
-    beta, alpha = model.beta, abs(float(model.alpha))
-    n = a.shape[0]
+    beta, n = model.beta, a.shape[0]
     for i in range(0, n, BLOCK):
         rows = a[i:i + BLOCK]
         shrink_magnitudes(rows, beta, rows)
-        rows *= alpha
     np.fill_diagonal(a, 0.0)
     for upper, lower in _tile_pairs(n):
         a[upper] += a[lower].T
@@ -294,9 +291,9 @@ def kmeans(rows: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
     rows = normalize_rows(np.asarray(rows, dtype=float))
     n = rows.shape[0]
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigError("k must be >= 1")
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise ConfigError("restarts must be >= 1")
     if k > n:
         raise ShapeError(f"k={k} exceeds number of samples n={n}")
 

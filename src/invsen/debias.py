@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, integer_labels
 from .numkit import MlpParams, mlp_forward, softmax_rows
 
 PROB_EPS = 1e-7  # probabilities are clamped to [eps, 1-eps] before any log
@@ -135,16 +135,17 @@ def bias_posterior(head: MlpParams, emb: np.ndarray):
 
 
 def _check_labels(labels, n: int, n_classes: int) -> np.ndarray:
-    """labels as ints, once they are n > 0 labels in [0, n_classes): a
-    ShapeError or ConfigError otherwise."""
+    """labels as ints, once they are n > 0 integer labels in [0, n_classes):
+    a ShapeError or ConfigError otherwise."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != n or n == 0:
         raise ShapeError(f"labels shape {labels.shape} does not match a batch of {n} > 0")
+    labels = integer_labels(labels)
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ConfigError(
             f"bias label out of range [0, {n_classes}): "
             f"[{labels.min()}, {labels.max()}]")
-    return labels.astype(int)
+    return labels
 
 
 def cross_entropy_loss(probs: np.ndarray, labels):

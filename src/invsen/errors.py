@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the integer check that
-every config class makes."""
+"""Exception types shared across the package, the integer check that every
+config class makes, and the one that every reader of labels makes."""
 
 from numbers import Integral
+
+import numpy as np
 
 
 class InvsenError(Exception):
@@ -56,3 +58,16 @@ def check_integers(config, names, lists=()) -> None:
         if not isinstance(items, (tuple, list)) or any(
                 isinstance(v, bool) or not isinstance(v, Integral) for v in items):
             raise ConfigError(f"{name} must be an integer or integers, not {value!r}")
+
+
+def integer_labels(labels) -> np.ndarray:
+    """labels as an int array, once the cast keeps every entry (1.0 reads
+    as 1): a ConfigError for a fractional, NaN, infinite or out-of-range
+    label, which the cast alone would silently change."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):
+            kept = labels.astype(int) == labels
+        if not kept.all():
+            raise ConfigError(f"labels must be integers, not {labels[~kept][0]}")
+    return labels.astype(int)

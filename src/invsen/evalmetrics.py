@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError, integer_labels
 
 METRIC_FIELDS = ("acc", "nmi", "ari", "mi_pred_bias", "mi_true_bias", "n")
 
@@ -36,9 +36,10 @@ def _as_labels(labels) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be 1-d, got shape {labels.shape}")
+    labels = integer_labels(labels)
     if labels.size and labels.min() < 0:
-        raise ValueError("labels must be non-negative integers")
-    return labels.astype(int)
+        raise ConfigError("labels must be non-negative integers")
+    return labels
 
 
 def _check_pair(a, b):
@@ -73,7 +74,7 @@ def optimal_assignment(cost: np.ndarray) -> np.ndarray:
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ShapeError(f"cost matrix must be square, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix must be finite")
+        raise ConfigError("cost matrix must be finite")
     k = cost.shape[0]
     u = np.zeros(k)  # row potentials
     v = np.zeros(k)  # column potentials

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh", "none")
 
@@ -62,7 +62,7 @@ def softplus(x):
 def softplus_inv(y: float) -> float:
     """Inverse of softplus for y > 0."""
     if y <= 0:
-        raise ValueError("softplus_inv requires y > 0")
+        raise ConfigError("softplus_inv requires y > 0")
     return float(y + np.log(-np.expm1(-y)))
 
 
@@ -192,7 +192,7 @@ def init_mlp(dims, activations, batchnorm, rng: np.random.Generator,
     for i in range(n_layers):
         d_in, d_out = dims[i], dims[i + 1]
         if activations[i] not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activations[i]!r}")
+            raise ConfigError(f"unknown activation {activations[i]!r}")
         a = np.sqrt(6.0 / (d_in + d_out))
         w, b = next(views), next(views)
         w[...] = rng.uniform(-a, a, size=(d_in, d_out))
@@ -349,7 +349,7 @@ class AdamState:
 def adam_init(params: np.ndarray, lr: float) -> AdamState:
     """Adam state for the flat float64 vector params (kept, not copied)."""
     if lr <= 0:
-        raise ValueError("lr must be positive")
+        raise ConfigError("lr must be positive")
     if params.ndim != 1 or params.dtype != np.float64 or not params.flags.c_contiguous:
         raise ShapeError("adam_init: params must be a contiguous float64 vector")
     n = params.size

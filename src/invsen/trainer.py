@@ -26,11 +26,11 @@ aligned shift and the counterfactual batch. The terms:
   through the forward passes of both. Unlike the head terms, neither of
   these two vanishes when a head saturates.
 
-The coefficient scale alpha is fixed at 1 and beta starts at
-sennet.DEFAULT_BETA0. Heads are updated first, then the feature nets, both
-from the same forward passes. With lam = 0 the feature updates are
-bit-for-bit those of a plain self-expressive network; the heads keep
-training on the side.
+The threshold beta starts at sennet.DEFAULT_BETA0. Heads are updated
+first, then the feature nets, both from the same forward passes. With
+lam = 0 the feature updates are bit-for-bit those of a plain
+self-expressive network; the heads keep training on the side. History
+records hold the epoch means of the report's fields.
 
 Each optimizer owns one flat vector each for the parameters, the
 gradients and the two Adam moments. init_state builds the nets as views of
@@ -68,7 +68,8 @@ from .debias import (
     init_bias_heads,
     invariance_loss,
 )
-from .errors import CheckpointError, ConfigError, NumericsError, ShapeError, TrainingDiverged, check_integers
+from .errors import (CheckpointError, ConfigError, NumericsError, ShapeError,
+                     TrainingDiverged, check_integers, integer_labels)
 from .numkit import (
     AdamState,
     adam_init,
@@ -155,7 +156,7 @@ def _layout(config: TrainConfig, in_dim: int):
     """(main, bias): the segment shapes of the two parameter vectors of
     init_state(config, in_dim), as se_vector_layout and head_vector_layout
     give them. Integer arithmetic over the config; nothing is allocated."""
-    return (se_vector_layout(in_dim, config.hidden, config.embed_dim, alpha_learnable=False),
+    return (se_vector_layout(in_dim, config.hidden, config.embed_dim),
             head_vector_layout(config.embed_dim, config.bias_hidden,
                                config.n_bias_classes, config.bias_batchnorm))
 
@@ -236,7 +237,7 @@ def train_step(state: TrainState, batch: np.ndarray, bias_labels,
         "l_ce_key": ce[0], "l_ce_query": ce[1],
         "l_conf_key": conf[0], "l_conf_query": conf[1],
         "bias_head_acc": 0.5 * (acc[0] + acc[1]), "total_report": total_report,
-        "batch_size": x.shape[0], "beta": model.beta, "alpha": float(model.alpha),
+        "batch_size": x.shape[0], "beta": model.beta,
     }
     if inv:
         report.update(l_align=se.l_align, l_inv=l_inv)
@@ -291,7 +292,7 @@ def _run_epochs(state: TrainState, x: np.ndarray, b, until_epoch: int) -> TrainS
 def _training_data(config: TrainConfig, dataset: Dataset):
     """(x, b): the dataset's rows scaled to unit norm and its bias labels as
     ints (None without labels), once the dataset passes the checks that fit
-    and resume share."""
+    and resume share: a float label must be integral (1.0 reads as 1)."""
     if dataset.n < 2:
         # before init_state, which sizes the nets by the width alone
         raise ConfigError(f"training needs at least two samples, got {dataset.n}")
@@ -300,12 +301,11 @@ def _training_data(config: TrainConfig, dataset: Dataset):
     if config.weights.lam > 0 and b is None:
         raise ConfigError("training with lam > 0 requires bias labels")
     if b is not None:
-        b = np.asarray(b, dtype=int)
+        b = integer_labels(b)
         if b.shape[0] != x.shape[0]:
             raise ConfigError("bias labels and samples are misaligned")
-        if b.size and (b.min() < 0 or b.max() >= config.n_bias_classes):
-            raise ConfigError(
-                f"bias labels must lie in [0, {config.n_bias_classes})")
+        if b.min() < 0 or b.max() >= config.n_bias_classes:
+            raise ConfigError(f"bias labels must lie in [0, {config.n_bias_classes})")
     return x, b
 
 
@@ -334,7 +334,7 @@ def resume(state: TrainState, dataset: Dataset, epochs: int | None = None) -> Tr
 def _state_arrays(state: TrainState):
     """Every array of the state, named, in checkpoint order: each
     optimizer's parameters and moments. The nets and beta_raw are views of
-    the parameter vectors; alpha is fixed at 1."""
+    the parameter vectors."""
     return [(f"{tag}.{part}", getattr(opt, part))
             for tag, opt in (("opt_main", state.opt_main), ("opt_bias", state.opt_bias))
             for part in ("params", "m", "v")]

@@ -109,31 +109,28 @@ class TestCriterion1:
             reports[name] = finite_diff_check(loss_and_grad, params,
                                               tolerance=tol, max_coords=None)
 
-        # se_loss w.r.t. key net, query net, beta (reparameterized), alpha
+        # se_loss w.r.t. key net, query net and beta (reparameterized)
         xb = make_rng(3, "c1").standard_normal((6, 5))
 
         def se_param_grads(m, res):
-            # key net, query net, beta, alpha: the main optimizer's order
+            # key net, query net, beta: the main optimizer's order
             return (mlp_backward(m.key_net, res.key_cache, res.grad_key_out)[0]
                     + mlp_backward(m.query_net, res.query_cache, res.grad_query_out)[0]
-                    + [np.array(res.grad_beta_raw), np.array(res.grad_alpha)])
+                    + [np.array(res.grad_beta_raw)])
 
         def se_lg(arrays):
-            m = init_se_model(5, hidden=(8, 6), embed_dim=4,
-                              alpha_learnable=True, rng=make_rng(4, "c1"))
+            m = init_se_model(5, hidden=(8, 6), embed_dim=4, rng=make_rng(4, "c1"))
             nk = len(numkit.mlp_param_arrays(m.key_net))
             set_param_arrays(m.key_net, [a.copy() for a in arrays[:nk]])
             set_param_arrays(m.query_net, [a.copy() for a in arrays[nk:2 * nk]])
             m.beta_raw = np.asarray(arrays[2 * nk]).reshape(()).copy()
-            m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, xb, gamma=10.0, delta=0.9)
             return res.loss, se_param_grads(m, res)
 
-        model0 = init_se_model(5, hidden=(8, 6), embed_dim=4,
-                               alpha_learnable=True, rng=make_rng(4, "c1"))
+        model0 = init_se_model(5, hidden=(8, 6), embed_dim=4, rng=make_rng(4, "c1"))
         reports["se_loss"] = finite_diff_check(
             se_lg, numkit.mlp_param_arrays(model0.key_net)
-            + numkit.mlp_param_arrays(model0.query_net) + [model0.beta_raw, model0.alpha],
+            + numkit.mlp_param_arrays(model0.query_net) + [model0.beta_raw],
             tolerance=tol, max_coords=None)
 
         # the same with the aligned reconstruction term weighted in: every
@@ -141,19 +138,17 @@ class TestCriterion1:
         shift = bias_group_offsets(xb, make_rng(11, "c1").integers(0, 2, size=6))[0]
 
         def se_aligned_lg(arrays):
-            m = init_se_model(5, hidden=(8, 6), embed_dim=4,
-                              alpha_learnable=True, rng=make_rng(4, "c1"))
+            m = init_se_model(5, hidden=(8, 6), embed_dim=4, rng=make_rng(4, "c1"))
             nk = len(numkit.mlp_param_arrays(m.key_net))
             set_param_arrays(m.key_net, [a.copy() for a in arrays[:nk]])
             set_param_arrays(m.query_net, [a.copy() for a in arrays[nk:2 * nk]])
             m.beta_raw = np.asarray(arrays[2 * nk]).reshape(()).copy()
-            m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, xb, gamma=10.0, delta=0.9, shift=shift, shift_weight=0.7)
             return res.loss + 0.7 * res.l_align, se_param_grads(m, res)
 
         reports["se_loss-aligned"] = finite_diff_check(
             se_aligned_lg, numkit.mlp_param_arrays(model0.key_net)
-            + numkit.mlp_param_arrays(model0.query_net) + [model0.beta_raw, model0.alpha],
+            + numkit.mlp_param_arrays(model0.query_net) + [model0.beta_raw],
             tolerance=tol, max_coords=None)
 
         # bias losses through head parameters and through the embeddings

@@ -183,6 +183,19 @@ class TestTrain:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["train", "--data", "{data}/train.csv", "--epochs", "-1"], 2),
+    (["train", "--data", "{data}/missing.csv"], 1),
+    (["train", "--data", "{data}/train.csv", "--n-bias-classes", "1"], 2),
+    (["gen-data", "--k", "5", "--d", "10", "--rank", "2"], 2),
+], ids=["train-negative-epochs", "train-missing-data", "train-one-bias-class",
+        "gen-data-infeasible"])
+def test_refused_input_leaves_no_out_dir(tmp_path, data_dir, argv, code):
+    out = tmp_path / "out"
+    assert run_cli(*(a.format(data=data_dir) for a in argv), "--out", str(out)) == code
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("train", {"epochs": "abc"}),
     ("gen-data", {"k": "z"}),

@@ -20,7 +20,7 @@ from invsen.cluster import (
 from invsen.debias import LossWeights
 from invsen.errors import InvsenError, NumericsError, ShapeError
 from invsen.evalmetrics import accuracy
-from invsen.numkit import make_rng, normalize_rows
+from invsen.numkit import make_rng, normalize_rows, softplus_inv
 from invsen.sennet import coefficient_matrix, coefficients, init_se_model, soft_threshold
 
 from oracles import jacobi_eigh, kmeans_bruteforce, ref_normalized_laplacian
@@ -84,19 +84,23 @@ class TestAffinity:
         assert np.array_equal(a, a.T)
         assert a.min() >= 0.0
 
-    # a negative alpha is what a learnable alpha can reach in training;
-    # exchanging the nets transposes the inner products, so both
-    # orientations of an asymmetric C go through the tiles
-    @pytest.mark.parametrize("alpha", [1.3, -0.7])
+    # scaling the query net's tanh layer scales the inner products and, when
+    # negative, flips their signs (tanh is odd), as training may; exchanging
+    # the nets transposes them, so both orientations of an asymmetric C go
+    # through the tiles
+    @pytest.mark.parametrize("query_scale", [1.3, -0.7])
     @pytest.mark.parametrize("exchange_nets", [False, True])
     @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 600])
-    def test_blocked_matches_plain_expression(self, n, exchange_nets, alpha):
+    def test_blocked_matches_plain_expression(self, n, exchange_nets, query_scale):
         model = init_se_model(5, hidden=(8,), embed_dim=6, rng=make_rng(30, "m"))
+        model.query_net.layers[-1].w[...] *= query_scale
         if exchange_nets:
             model.key_net, model.query_net = model.query_net, model.key_net
-        model.alpha[...] = alpha
-        model.beta_raw[...] = -0.5  # beta ~ 0.47: live and dead pairs
         x = make_rng(31, "x").standard_normal((n, 5))
+        # beta at the 70% quantile of |s|, whatever the scale: about 30% of
+        # the pairs live, the rest dead
+        s = coefficients(model, normalize_rows(x))[1]["s"]
+        model.beta_raw[...] = softplus_inv(np.quantile(np.abs(s), 0.7))
         c, cache = coefficients(model, normalize_rows(x))
         a = build_affinity(model, x)
         if n > 2:
@@ -105,7 +109,7 @@ class TestAffinity:
         # soft_threshold gives the same coefficients off the diagonal (a
         # dead entry may be -0.0 there, which compares equal to 0.0)
         off = ~np.eye(n, dtype=bool)
-        assert np.array_equal(alpha * soft_threshold(cache["s"], model.beta)[off], c[off])
+        assert np.array_equal(soft_threshold(cache["s"], model.beta)[off], c[off])
 
     @pytest.mark.parametrize("shape", [(1, 4), (4,), (5, 3), (5, 4, 1)])
     def test_bad_input_shape_rejected(self, shape):
@@ -458,8 +462,7 @@ class TestInPlaceForms:
     """The in-place evaluation path gives the bits of the plain expressions."""
 
     def test_affinity_is_abs_plus_abs_transpose(self):
-        model = init_se_model(5, hidden=(8,), embed_dim=6, alpha=1.3,
-                              rng=make_rng(30, "m"))
+        model = init_se_model(5, hidden=(8,), embed_dim=6, rng=make_rng(30, "m"))
         model.beta_raw[...] = -0.5  # beta ~ 0.47: live and dead pairs
         x = make_rng(31, "x").standard_normal((300, 5))
         c = coefficient_matrix(model, normalize_rows(x))

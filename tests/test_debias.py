@@ -71,6 +71,15 @@ class TestCrossEntropy:
         with pytest.raises(ConfigError):
             cross_entropy_loss(np.full((2, 2), 0.5), [0, 2])
 
+    def test_non_integral_label_refused(self):
+        # a cast would read 0.5 as class 0
+        probs = np.array([[0.75, 0.25], [0.25, 0.75]])
+        with pytest.raises(ConfigError, match="integers"):
+            cross_entropy_loss(probs, [0.5, 1])
+        loss, g = cross_entropy_loss(probs, [0.0, 1.0])
+        assert loss == cross_entropy_loss(probs, [0, 1])[0]
+        assert np.array_equal(g, cross_entropy_loss(probs, [0, 1])[1])
+
     def test_relabel_invariance(self):
         # permuting classes together with the posterior columns is a no-op
         probs = make_rng(5, "p").dirichlet(np.ones(3), size=10)

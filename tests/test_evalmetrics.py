@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from invsen.cluster import ClusterLabels
-from invsen.errors import ShapeError
+from invsen.errors import ConfigError, ShapeError
 from invsen.evalmetrics import (
     accuracy,
     ari,
@@ -138,6 +138,18 @@ class TestAccuracy:
         # a ClusterLabels is not its label array: callers pass .labels
         with pytest.raises(ShapeError):
             accuracy(labels, [0, 1, 1])
+
+    @pytest.mark.parametrize("pred", [[0.5, 1.7, 1.2], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0],
+                                      [0.0, 1e300, 1.0]],
+                             ids=["fractional", "nan", "inf", "beyond-int64"])
+    def test_non_integral_labels_refused(self, pred):
+        # a cast would read [0.5, 1.7, 1.2] as [0, 1, 1], a perfect match
+        with pytest.raises(ConfigError, match="integers"):
+            accuracy(pred, [0, 1, 1])
+
+    def test_integral_float_labels_read_as_ints(self):
+        assert accuracy([0.0, 1.0, 1.0], [1, 0, 0]) == 1.0
+        assert accuracy([0.0, 1.0, 2.0], [1, 1, 1]) == pytest.approx(1.0 / 3.0)
 
     def test_matches_bruteforce_on_ties(self):
         # two or three labels and few samples: many bijections tie

@@ -1,5 +1,6 @@
 """Guards on the package as a whole: every public function, class and
-method of invsen has a user, and importing it stays lean.
+method of invsen has a user, a refused library call raises a typed
+InvsenError, and importing the package stays lean.
 
 Walks the syntax trees of the package, the benchmark harness and the
 demos, and fails on any public name defined in invsen that no code there
@@ -13,6 +14,12 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from invsen import cluster, evalmetrics, numkit, sennet
+from invsen.errors import InvsenError
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "invsen"
@@ -63,6 +70,25 @@ def test_every_public_name_has_a_user():
     assert not unused, (
         "public names of invsen that nothing in src/invsen, bench/ or demos/ "
         f"uses: {unused}")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cluster.kmeans(np.eye(3), 0),
+    lambda: cluster.kmeans(np.eye(3), 2, restarts=0),
+    lambda: evalmetrics.accuracy([-1, 0], [0, 0]),
+    lambda: evalmetrics.optimal_assignment(np.array([[np.nan]])),
+    lambda: numkit.softplus_inv(0.0),
+    lambda: numkit.init_mlp([2, 2], ["swish"], batchnorm=False, rng=numkit.make_rng(0, "t")),
+    lambda: numkit.adam_init(np.zeros(3), 0.0),
+    lambda: sennet.elastic_net_reg(1.0, 1.5),
+    lambda: sennet.se_loss(sennet.init_se_model(2, hidden=(), embed_dim=2,
+                                                rng=numkit.make_rng(0, "t")),
+                           np.eye(2), gamma=0.0, delta=0.9),
+], ids=["kmeans-k", "kmeans-restarts", "negative-label", "assignment-cost", "softplus-inv",
+        "activation", "adam-lr", "elastic-net-delta", "se-loss-gamma"])
+def test_library_refusals_are_invsen_errors(call):
+    with pytest.raises(InvsenError):
+        call()
 
 
 def test_import_leaves_scipy_out():

@@ -19,25 +19,23 @@ from gradcheck import finite_diff_check, set_param_arrays
 from oracles import ref_mlp_forward
 
 
-def constant_embedding_model(d, p, vec, alpha=1.0, beta_raw=-np.inf):
+def constant_embedding_model(d, p, vec, beta_raw=-np.inf):
     """Both nets map every input to the fixed embedding `vec` (single
     linear layer, zero weights, bias = vec, no activation)."""
     def net():
         return MlpParams(layers=[DenseLayer(w=np.zeros((d, p)),
                                             b=np.asarray(vec, dtype=float).copy(),
                                             activation="none")])
-    return SEModel(key_net=net(), query_net=net(),
-                   beta_raw=np.array(beta_raw), alpha=np.array(alpha))
+    return SEModel(key_net=net(), query_net=net(), beta_raw=np.array(beta_raw))
 
 
-def linear_embedding_model(wk, wq, alpha=1.0, beta_raw=-np.inf):
+def linear_embedding_model(wk, wq, beta_raw=-np.inf):
     """Nets are bare linear maps u = x @ wk, v = x @ wq."""
     def net(w):
         return MlpParams(layers=[DenseLayer(w=np.asarray(w, dtype=float).copy(),
                                             b=np.zeros(np.asarray(w).shape[1]),
                                             activation="none")])
-    return SEModel(key_net=net(wk), query_net=net(wq),
-                   beta_raw=np.array(beta_raw), alpha=np.array(alpha))
+    return SEModel(key_net=net(wk), query_net=net(wq), beta_raw=np.array(beta_raw))
 
 
 class TestSoftThreshold:
@@ -114,19 +112,18 @@ class TestCoefficients:
         c = coefficient_matrix(model, x)
         u = ref_mlp_forward(model.key_net, x)
         v = ref_mlp_forward(model.query_net, x)
-        beta, alpha = model.beta, float(model.alpha)
+        beta = model.beta
         expected = np.zeros((4, 4))
         for i in range(4):
             for j in range(4):
                 if i == j:
                     continue
                 s = float(np.dot(u[j], v[i]))
-                expected[i, j] = alpha * np.sign(s) * max(0.0, abs(s) - beta)
+                expected[i, j] = np.sign(s) * max(0.0, abs(s) - beta)
         assert np.abs(c - expected).max() < 1e-10
 
     def test_in_place_threshold_matches_where_expression(self):
-        model = init_se_model(6, hidden=(8,), embed_dim=5, alpha=1.7,
-                              rng=make_rng(9, "m"))
+        model = init_se_model(6, hidden=(8,), embed_dim=5, rng=make_rng(9, "m"))
         model.beta_raw[...] = -3.0  # beta ~ 0.049: live and dead pairs
         x = make_rng(10, "x").standard_normal((40, 6))
         block, cache = coefficients(model, x)
@@ -136,20 +133,18 @@ class TestCoefficients:
         thr = np.where(live, np.sign(s) * (np.abs(s) - model.beta), 0.0)
         assert 0 < live.sum() < live.size - 40
         assert np.array_equal(cache["live"], live)
-        assert thr.tobytes() == cache["thr"].tobytes()  # +0.0 in the dead zone
-        assert (1.7 * thr).tobytes() == block.tobytes()
+        assert thr.tobytes() == block.tobytes()  # +0.0 in the dead zone
 
     def test_parameters_are_views_of_one_vector(self):
-        vec = np.empty(2 * (4 * 6 + 6 + 6 * 3 + 3) + 2)
-        m = init_se_model(4, hidden=(6,), embed_dim=3, alpha=1.3, alpha_learnable=True,
-                          rng=make_rng(11, "m"), out=vec)
+        vec = np.empty(2 * (4 * 6 + 6 + 6 * 3 + 3) + 1)
+        m = init_se_model(4, hidden=(6,), embed_dim=3, rng=make_rng(11, "m"), out=vec)
         arrays = (mlp_param_arrays(m.key_net) + mlp_param_arrays(m.query_net)
-                  + [m.beta_raw, m.alpha])
+                  + [m.beta_raw])
         assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), vec)
         assert all(np.shares_memory(a, vec) for a in arrays)
-        assert m.beta == pytest.approx(sennet.DEFAULT_BETA0) and float(m.alpha) == 1.3
+        assert m.beta == pytest.approx(sennet.DEFAULT_BETA0)
         with pytest.raises(ShapeError):
-            init_se_model(4, hidden=(6,), embed_dim=3, rng=make_rng(11, "m"), out=vec)
+            init_se_model(4, hidden=(6,), embed_dim=3, rng=make_rng(11, "m"), out=vec[1:])
 
     def test_zero_diagonal_always(self):
         model = init_se_model(4, hidden=(8,), embed_dim=6, rng=make_rng(7, "m"))
@@ -158,14 +153,6 @@ class TestCoefficients:
             x = make_rng(seed, "diag").standard_normal((7, 4))
             c = coefficient_matrix(model, x)
             assert np.array_equal(np.diag(c), np.zeros(7))
-
-    def test_alpha_scale_relation(self):
-        model = init_se_model(3, hidden=(5,), embed_dim=4, rng=make_rng(8, "m"))
-        x = make_rng(9, "x").standard_normal((6, 3))
-        c1 = coefficient_matrix(model, x)
-        model.alpha = np.array(2.0)
-        c2 = coefficient_matrix(model, x)
-        assert np.array_equal(c2, 2.0 * c1)
 
     def test_sparsity_monotone_in_beta(self):
         model = init_se_model(3, hidden=(5,), embed_dim=4, rng=make_rng(10, "m"))
@@ -202,7 +189,7 @@ class TestSELoss:
         # bare linear nets, three points, everything recomputed with loops
         wk = [[0.5, 0.0], [0.0, 1.0], [0.5, -0.5]]
         wq = [[1.0, 0.5], [-0.5, 0.0], [0.0, 1.0]]
-        model = linear_embedding_model(wk, wq, alpha=1.5, beta_raw=np.log(np.e - 1.0))
+        model = linear_embedding_model(wk, wq, beta_raw=np.log(np.e - 1.0))
         beta = model.beta  # softplus(log(e-1)) = 1 exactly up to fp
         assert beta == pytest.approx(1.0, abs=1e-15)
         x = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0], [2.0, 1.0, 0.0]])
@@ -217,7 +204,7 @@ class TestSELoss:
             for j in range(n):
                 if i != j:
                     s = float(np.dot(u[j], v[i]))
-                    c[i, j] = 1.5 * np.sign(s) * max(0.0, abs(s) - beta)
+                    c[i, j] = np.sign(s) * max(0.0, abs(s) - beta)
         recon = 0.0
         for j in range(n):
             xhat = sum(c[i, j] * x[i] for i in range(n))
@@ -232,24 +219,21 @@ class TestSELoss:
         x = make_rng(22, "x").standard_normal((6, 5))
 
         def loss_and_grad(arrays):
-            m = init_se_model(5, hidden=(8, 6), embed_dim=4,
-                              alpha_learnable=True, rng=make_rng(23, "m"))
+            m = init_se_model(5, hidden=(8, 6), embed_dim=4, rng=make_rng(23, "m"))
             nk = len(numkit.mlp_param_arrays(m.key_net))
             set_param_arrays(m.key_net, [a.copy() for a in arrays[:nk]])
             set_param_arrays(m.query_net, [a.copy() for a in arrays[nk:2 * nk]])
             m.beta_raw = np.asarray(arrays[2 * nk]).reshape(()).copy()
-            m.alpha = np.asarray(arrays[2 * nk + 1]).reshape(()).copy()
             res = se_loss(m, x, gamma=10.0, delta=0.9)
             return res.loss, (
                 mlp_backward(m.key_net, res.key_cache, res.grad_key_out)[0]
                 + mlp_backward(m.query_net, res.query_cache, res.grad_query_out)[0]
-                + [np.array(res.grad_beta_raw), np.array(res.grad_alpha)])
+                + [np.array(res.grad_beta_raw)])
 
-        m0 = init_se_model(5, hidden=(8, 6), embed_dim=4, alpha_learnable=True,
-                           rng=make_rng(23, "m"))
+        m0 = init_se_model(5, hidden=(8, 6), embed_dim=4, rng=make_rng(23, "m"))
         rep = finite_diff_check(
             loss_and_grad,
-            mlp_param_arrays(m0.key_net) + mlp_param_arrays(m0.query_net) + [m0.beta_raw, m0.alpha],
+            mlp_param_arrays(m0.key_net) + mlp_param_arrays(m0.query_net) + [m0.beta_raw],
             tolerance=1e-4, max_coords=None)
         assert rep.passed, rep.max_rel_err
 

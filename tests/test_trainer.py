@@ -100,6 +100,14 @@ def read_manifest(path):
     return json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
 
 
+def write_manifest(path, manifest):
+    """Replace the manifest of the checkpoint at path, keeping its payload."""
+    raw = path.read_bytes()
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                     + raw[16 + int.from_bytes(raw[8:16], "little"):])
+
+
 class TestTrainStep:
     def test_lambda_zero_feature_update_is_pure_senet(self):
         ds = toy_dataset()
@@ -219,7 +227,7 @@ class TestTrainStep:
         assert list(rep) == [
             "l_se", "l_recon", "l_reg", "l_ce_key", "l_ce_query", "l_conf_key",
             "l_conf_query", "bias_head_acc", "total_report", "batch_size", "beta",
-            "alpha", *extra]
+            *extra]
         bias_side = [rep[k] for k in ("l_ce_key", "l_ce_query", "l_conf_key",
                                       "l_conf_query", "bias_head_acc")]
         assert np.isnan(bias_side).all() != labelled
@@ -440,6 +448,19 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(cfg, ds_nob)
 
+    def test_non_integral_bias_labels_refused(self):
+        # a cast would read 0.5 as group 0
+        ds = toy_dataset()
+        b = ds.b.astype(float)
+        b[5] = 0.5
+        with pytest.raises(ConfigError, match="integers"):
+            fit(tiny_config(epochs=1), Dataset(X=ds.X, s=ds.s, b=b))
+        # integral floats read as the ints they are
+        as_floats = fit(tiny_config(epochs=1), Dataset(X=ds.X, s=ds.s, b=ds.b.astype(float)))
+        as_ints = fit(tiny_config(epochs=1), ds)
+        assert np.array_equal(as_floats.opt_bias.params, as_ints.opt_bias.params)
+        assert as_floats.history == as_ints.history
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=1, batch_size=1)
@@ -500,6 +521,28 @@ class TestCheckpoints:
         assert set(read_manifest(tmp_path / "a")) == {
             "version", "in_dim", "epoch", "config", "t", "history", "arrays"}
 
+    def test_history_records_with_alpha_load_and_resume(self, tmp_path):
+        # version-6 files written while the coefficient had a scale alpha
+        # carry "alpha": 1.0 in every history record, after "beta"
+        w = LossWeights(gamma=20.0, delta=0.9, lam=0.5, mu=1.0)
+        ds = toy_dataset()
+        path = tmp_path / "a"
+        save_checkpoint(fit(tiny_config(epochs=2, weights=w), ds), str(path))
+        manifest = read_manifest(path)
+        for rec in manifest["history"]:
+            items = list(rec.items())
+            at = list(rec).index("beta") + 1
+            rec.clear()
+            rec.update(items[:at] + [("alpha", 1.0)] + items[at:])
+        write_manifest(path, manifest)
+        back = load_checkpoint(str(path))
+        assert [list(rec)[-3:] for rec in back.history] == [["alpha", "l_align", "l_inv"]] * 2
+        save_checkpoint(back, str(tmp_path / "b"))
+        assert (tmp_path / "b").read_bytes() == path.read_bytes()
+        # resuming appends records without the key, as an unbroken run writes them
+        resumed = resume(back, ds, epochs=3)
+        assert resumed.history[2] == fit(tiny_config(epochs=3, weights=w), ds).history[2]
+
     @pytest.mark.parametrize("edit, match", [
         (lambda m: m.update(version=1), "version"),
         # version 2, whose config holds swap_roles
@@ -531,12 +574,9 @@ class TestCheckpoints:
     def test_manifest_that_does_not_match_refused(self, tmp_path, edit, match):
         path = tmp_path / "ck.invsen"
         save_checkpoint(fit(tiny_config(epochs=1), toy_dataset()), str(path))
-        raw = path.read_bytes()
         manifest = read_manifest(path)
         edit(manifest)
-        blob = json.dumps(manifest).encode("utf-8")
-        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
-                         + raw[16 + int.from_bytes(raw[8:16], "little"):])
+        write_manifest(path, manifest)
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(str(path))
 
